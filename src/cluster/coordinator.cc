@@ -56,22 +56,33 @@ Status StatusOfResponse(const JsonValue& json) {
 // exposition name has exactly one literal in this translation unit.
 void NoteShardError() { XPLAIN_COUNTER_ADD("cluster.shard_errors", 1); }
 
-void SetInFlightGauge(size_t pending) {
-  XPLAIN_GAUGE_SET("cluster.in_flight", static_cast<double>(pending));
+/// The shell sizing and cluster.* metric handles of one coordinator. It
+/// samples no traces of its own: shard spans join a request's trace only
+/// through the wire context it forwards.
+server::ShellConfig MakeShellConfig(const CoordinatorOptions& options) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  server::ShellConfig config;
+  config.role = "coordinator";
+  config.num_workers = options.num_workers;
+  config.max_queue_depth = options.max_queue_depth;
+  config.flight_capacity = options.flight_capacity;
+  config.slow_query_us = options.slow_query_us;
+  config.trace_sample_period = 0;
+  config.metrics.requests = registry.GetCounter("cluster.requests");
+  config.metrics.parse_errors = registry.GetCounter("cluster.parse_errors");
+  config.metrics.rejected = registry.GetCounter("cluster.rejected");
+  config.metrics.in_flight = registry.GetGauge("cluster.in_flight");
+  Histogram* request_us = registry.GetHistogram("cluster.request_us");
+  config.metrics.explain_us = request_us;
+  config.metrics.topk_us = request_us;
+  config.metrics.delta_us = request_us;
+  return config;
 }
 
 }  // namespace
 
 Coordinator::Coordinator(const CoordinatorOptions& options)
-    : options_(options) {
-  const int workers = options_.num_workers > 0
-                          ? options_.num_workers
-                          : ThreadPool::DefaultNumThreads();
-  admission_capacity_ =
-      static_cast<size_t>(workers) + options_.max_queue_depth;
-  pool_ = std::make_unique<ThreadPool>(workers);
-  flight_ = std::make_unique<server::FlightRecorder>(
-      options_.flight_capacity, options_.slow_query_us);
+    : LineService(MakeShellConfig(options)), options_(options) {
   pools_.reserve(options_.shards.size());
   for (size_t s = 0; s < options_.shards.size(); ++s) {
     pools_.push_back(std::make_unique<ShardPool>());
@@ -149,25 +160,7 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
   return coordinator;
 }
 
-Coordinator::~Coordinator() {
-  Drain();
-  pool_->Shutdown();
-}
-
-void Coordinator::Drain() {
-  draining_.store(true, std::memory_order_release);
-  MutexLock lock(&mu_);
-  while (pending_ > 0) idle_cv_.Wait(&mu_);
-}
-
-std::string Coordinator::HandleLine(const std::string& line) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  SubmitLineWith(line, [promise](std::string response) {
-    promise->set_value(std::move(response));
-  });
-  return future.get();
-}
+Coordinator::~Coordinator() { StopWorkers(); }
 
 Result<server::TcpClient> Coordinator::LeaseConnection(size_t shard) {
   {
@@ -411,10 +404,7 @@ Result<std::string> Coordinator::RunExplain(const Request& request) {
   Status last = Status::OK();
   for (int attempt = 0; attempt < options_.fanout_attempts; ++attempt) {
     if (attempt > 0) {
-      {
-        MutexLock lock(&mu_);
-        ++fanout_retries_;
-      }
+      fanout_retries_.fetch_add(1, std::memory_order_relaxed);
       XPLAIN_COUNTER_ADD("cluster.fanout_retries", 1);
       int64_t backoff = static_cast<int64_t>(options_.retry_backoff_ms)
                         << (attempt - 1);
@@ -452,10 +442,18 @@ Result<std::string> Coordinator::RunExplain(const Request& request) {
                     " fan-out attempts)");
 }
 
-std::string Coordinator::DeltaPayload(const Request& request,
-                                      StatusCode* code) {
+std::string Coordinator::Execute(const Request& request,
+                                 const std::string& /*carry*/,
+                                 server::FlightRecord* record) {
+  Result<std::string> result = RunExplain(request);
+  if (result.ok()) return *std::move(result);
+  record->code = result.status().code();
+  return ErrorPayload(result.status());
+}
+
+std::string Coordinator::Delta(const Request& request,
+                               server::FlightRecord* record) {
   XPLAIN_TRACE_SPAN("cluster.delta");
-  *code = StatusCode::kOk;
   Result<std::string> payload = [&]() -> Result<std::string> {
     if (!request.delta_rows.empty()) {
       return Status::InvalidArgument(
@@ -551,15 +549,13 @@ std::string Coordinator::DeltaPayload(const Request& request,
     return out;
   }();
   if (!payload.ok()) {
-    MutexLock lock(&mu_);
-    ++errors_;
-    *code = payload.status().code();
+    record->code = payload.status().code();
     return ErrorPayload(payload.status());
   }
   return *std::move(payload);
 }
 
-std::string Coordinator::StatsPayload() const {
+std::string Coordinator::StatsPayload(bool /*want_schema*/) const {
   const Stats stats = GetStats();
   std::string out = "\"ok\":true,\"op\":\"STATS\",\"cluster\":true";
   out += ",\"shards\":" + std::to_string(options_.shards.size());
@@ -592,191 +588,19 @@ std::string Coordinator::StatsPayload() const {
 }
 
 Coordinator::Stats Coordinator::GetStats() const {
+  const Counts counts = GetCounts();
   Stats stats;
-  {
-    MutexLock lock(&mu_);
-    stats.received = received_;
-    stats.served = served_;
-    stats.rejected = rejected_;
-    stats.errors = errors_;
-    stats.in_flight = static_cast<int64_t>(pending_);
-    stats.fanout_retries = fanout_retries_;
-  }
+  stats.received = counts.received;
+  stats.served = counts.served;
+  stats.rejected = counts.rejected;
+  stats.errors = counts.errors;
+  stats.in_flight = counts.in_flight;
+  stats.fanout_retries = fanout_retries_.load(std::memory_order_relaxed);
   {
     ReaderMutexLock lock(&versions_mu_);
     stats.shard_versions = versions_;
   }
   return stats;
-}
-
-bool Coordinator::Admit(std::string* reject_payload) {
-  MutexLock lock(&mu_);
-  if (pending_ >= admission_capacity_) {
-    ++rejected_;
-    XPLAIN_COUNTER_ADD("cluster.rejected", 1);
-    *reject_payload = ErrorPayload(Status::ResourceExhausted(
-        "coordinator is saturated (" + std::to_string(pending_) +
-        " requests pending)"));
-    return false;
-  }
-  ++pending_;
-  SetInFlightGauge(pending_);
-  return true;
-}
-
-void Coordinator::FinishOne() {
-  MutexLock lock(&mu_);
-  --pending_;
-  SetInFlightGauge(pending_);
-  if (pending_ == 0) idle_cv_.SignalAll();
-}
-
-void Coordinator::SubmitLineWith(const std::string& line,
-                                 std::function<void(std::string)> done) {
-  const int64_t arrive_us = Trace::NowMicros();
-  XPLAIN_COUNTER_ADD("cluster.requests", 1);
-  {
-    MutexLock lock(&mu_);
-    ++received_;
-  }
-
-  Result<Request> parsed = server::ParseRequest(line);
-  if (!parsed.ok()) {
-    {
-      MutexLock lock(&mu_);
-      ++errors_;
-    }
-    done(MakeResponse(server::ExtractRequestId(line),
-                      ErrorPayload(parsed.status())));
-    return;
-  }
-  const Request& request = *parsed;
-
-  // Wire trace context only (the coordinator does no sampling of its own
-  // — shard spans join the same trace through the forwarded context).
-  TraceContext trace_context;
-  if (request.has_trace) {
-    trace_context.sampled = request.trace_sampled;
-    trace_context.trace_id = request.trace_id;
-    if (trace_context.sampled && trace_context.trace_id == 0) {
-      trace_context.trace_id = Trace::NextTraceId();
-    }
-  }
-  TraceContextScope trace_scope(trace_context);
-
-  server::FlightRecord record;
-  record.request_id = request.id;
-  record.trace_id = trace_context.sampled ? trace_context.trace_id : 0;
-  record.op = request.op;
-  record.start_us = arrive_us;
-
-  // The completion tail shared by every counted outcome: flush, latency
-  // histogram, flight record (+ slow-query log when pinned).
-  auto complete = [this, done](server::FlightRecord rec,
-                               std::string response) {
-    rec.bytes = response.size();
-    const int64_t flush_start_us = Trace::NowMicros();
-    done(std::move(response));
-    const int64_t end_us = Trace::NowMicros();
-    rec.flush_us = end_us - flush_start_us;
-    XPLAIN_HISTOGRAM_RECORD("cluster.request_us",
-                            static_cast<double>(end_us - rec.start_us));
-    if (flight_->Record(rec)) {
-      XPLAIN_LOG(kWarning) << "slow cluster query: op="
-                           << RequestOpToString(rec.op)
-                           << " id=" << rec.request_id
-                           << " code=" << StatusCodeToString(rec.code)
-                           << " execute_us=" << rec.execute_us
-                           << " bytes=" << rec.bytes;
-    }
-  };
-
-  if (request.op == RequestOp::kStats) {
-    done(MakeResponse(request.id, StatsPayload()));
-    return;
-  }
-  if (request.op == RequestOp::kMetrics) {
-    std::string out = "\"ok\":true,\"op\":\"METRICS\",\"exposition\":";
-    server::AppendJsonString(MetricsRegistry::Global().PrometheusText(),
-                             &out);
-    done(MakeResponse(request.id, out));
-    return;
-  }
-  if (request.op == RequestOp::kFlight) {
-    done(MakeResponse(request.id, flight_->DumpPayload()));
-    return;
-  }
-  if (request.op == RequestOp::kDrain) {
-    Drain();
-    done(MakeResponse(request.id, StatsPayload()));
-    return;
-  }
-
-  if (draining()) {
-    {
-      MutexLock lock(&mu_);
-      ++errors_;
-    }
-    const Status unavailable =
-        Status::Unavailable("coordinator is draining");
-    record.code = unavailable.code();
-    complete(std::move(record),
-             MakeResponse(request.id, ErrorPayload(unavailable)));
-    return;
-  }
-
-  if (request.op == RequestOp::kDelta) {
-    const int64_t execute_start_us = Trace::NowMicros();
-    std::string payload = DeltaPayload(request, &record.code);
-    record.execute_us = Trace::NowMicros() - execute_start_us;
-    complete(std::move(record),
-             MakeResponse(request.id, std::move(payload)));
-    return;
-  }
-
-  std::string reject_payload;
-  if (!Admit(&reject_payload)) {
-    record.code = StatusCode::kResourceExhausted;
-    complete(std::move(record),
-             MakeResponse(request.id, std::move(reject_payload)));
-    return;
-  }
-
-  const int64_t admit_us = Trace::NowMicros();
-  std::future<Status> submitted =
-      pool_->Submit([this, request, complete, trace_context, record,
-                     admit_us]() mutable {
-        TraceContextScope worker_scope(trace_context);
-        const int64_t execute_start_us = Trace::NowMicros();
-        record.queue_us = execute_start_us - admit_us;
-        Result<std::string> result = RunExplain(request);
-        std::string payload;
-        if (result.ok()) {
-          payload = *std::move(result);
-          {
-            MutexLock lock(&mu_);
-            ++served_;
-          }
-        } else {
-          payload = ErrorPayload(result.status());
-          record.code = result.status().code();
-          {
-            MutexLock lock(&mu_);
-            ++errors_;
-          }
-        }
-        record.execute_us = Trace::NowMicros() - execute_start_us;
-        complete(std::move(record),
-                 MakeResponse(request.id, std::move(payload)));
-        FinishOne();
-        return Status::OK();
-      });
-  if (!submitted.valid()) {
-    FinishOne();
-    done(MakeResponse(
-        request.id,
-        ErrorPayload(Status::Internal("worker submission failed"))));
-  }
 }
 
 }  // namespace cluster

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,14 +11,12 @@
 #include "cluster/merge.h"
 #include "cluster/shard_map.h"
 #include "relational/database.h"
-#include "server/flight_recorder.h"
-#include "server/line_service.h"
 #include "server/protocol.h"
+#include "server/request_shell.h"
 #include "server/tcp_client.h"
 #include "util/mutex.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace xplain {
 namespace cluster {
@@ -54,7 +51,8 @@ struct CoordinatorOptions {
   server::RetryOptions connect_retry;
   /// Flight-recorder ring capacity (per-request records; clamped >= 1).
   size_t flight_capacity = 256;
-  /// Slow-query threshold on execute time; offenders pinned. < 0 disables.
+  /// Slow-query threshold on queue+execute+flush time: offenders are
+  /// logged and pinned in the flight recorder. < 0 disables (default).
   int64_t slow_query_us = -1;
   /// Test-only hook: runs at the start of every fan-out attempt (before
   /// the version snapshot), so tests can inject shard-side deltas or kills
@@ -71,6 +69,9 @@ struct CoordinatorOptions {
 /// (where-form only) routes to the owning shard when the predicate pins
 /// the partition key, else broadcasts, under a version barrier that
 /// excludes concurrent fan-outs. STATS/METRICS/FLIGHT/DRAIN are local.
+/// Parsing, admission, drain, tracing and flight records come from the
+/// shared request shell (LineService; DESIGN.md §8) — the coordinator
+/// supplies only its DELTA, fan-out and STATS steps.
 ///
 /// Per-shard failures never hang a merge: a dead shard surfaces as a
 /// structured ok:false response naming the shard after bounded retries.
@@ -90,24 +91,9 @@ class Coordinator : public server::LineService {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Fully handles one request line (blocking form of SubmitLineWith).
-  std::string HandleLine(const std::string& line);
-
-  /// Callback form for the epoll transports: `done` is invoked exactly
-  /// once with the response line — synchronously for parse errors, STATS,
-  /// METRICS, FLIGHT, DRAIN, DELTA, and rejections, or on a pool worker
-  /// after the fan-out completes.
-  void SubmitLineWith(const std::string& line,
-                      std::function<void(std::string)> done) override;
-
-  /// Stops admitting EXPLAIN/TOPK and waits for in-flight fan-outs.
-  void Drain();
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
-
   /// The rows-free catalog bootstrapped from the shards' schema.
   const Database& catalog() const { return catalog_; }
   const ShardMap& shard_map() const { return shard_map_; }
-  const server::FlightRecorder& flight_recorder() const { return *flight_; }
 
   /// Live counters for STATS payloads and tests.
   /// Thread-safety: plain data, externally synchronized.
@@ -161,16 +147,16 @@ class Coordinator : public server::LineService {
       const std::vector<size_t>& targets,
       const std::vector<std::string>& lines);
 
-  /// Handles DELTA synchronously under the version barrier.
-  std::string DeltaPayload(const server::Request& request, StatusCode* code);
-
-  std::string StatsPayload() const;
-
-  bool Admit(std::string* reject_payload);
-  void FinishOne();
+  /// Shell hooks (DESIGN.md §8): DELTA runs synchronously under the
+  /// version barrier; the worker step is RunExplain. No pre-admission step.
+  std::string Delta(const server::Request& request,
+                    server::FlightRecord* record) override;
+  std::string Execute(const server::Request& request,
+                      const std::string& carry,
+                      server::FlightRecord* record) override;
+  std::string StatsPayload(bool want_schema) const override;
 
   CoordinatorOptions options_;
-  size_t admission_capacity_ = 0;
 
   Database catalog_;
   ShardMap shard_map_;
@@ -188,19 +174,8 @@ class Coordinator : public server::LineService {
 
   std::vector<std::unique_ptr<ShardPool>> pools_;
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<server::FlightRecorder> flight_;
-
-  std::atomic<bool> draining_{false};
-
-  mutable Mutex mu_{kMutexRankService};
-  CondVar idle_cv_;  // signaled when pending_ hits 0
-  size_t pending_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t received_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t served_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t rejected_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t errors_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t fanout_retries_ XPLAIN_GUARDED_BY(mu_) = 0;
+  /// Extra fan-out attempts beyond the first (relaxed tally).
+  std::atomic<int64_t> fanout_retries_{0};
 };
 
 }  // namespace cluster

@@ -4,15 +4,16 @@
 #include <future>
 #include <string>
 
-#include "server/service.h"
+#include "server/request_shell.h"
 
 namespace xplain {
 namespace server {
 
-/// Deterministic in-process transport over an XplaindService: each Call is
-/// one request line and yields exactly the response line a TCP client
-/// would read back. Tests and benches use it to exercise the full
-/// protocol/admission/cache path without sockets.
+/// Deterministic in-process transport over a request shell (an xplaind
+/// service or a cluster coordinator): each Call is one request line and
+/// yields exactly the response line a TCP client would read back. Tests
+/// and benches use it to exercise the full protocol/admission/cache path
+/// without sockets.
 ///
 /// Thread-safety: safe — Call/CallAsync may run concurrently from any
 /// number of threads (they forward to the service, which is safe). The
@@ -20,7 +21,7 @@ namespace server {
 class LoopbackTransport {
  public:
   /// Does not take ownership of `service`.
-  explicit LoopbackTransport(XplaindService* service) : service_(service) {}
+  explicit LoopbackTransport(LineService* service) : service_(service) {}
 
   /// Blocks until the response line is ready; never throws.
   std::string Call(const std::string& line) {
@@ -34,7 +35,7 @@ class LoopbackTransport {
   }
 
  private:
-  XplaindService* service_;
+  LineService* service_;
 };
 
 }  // namespace server

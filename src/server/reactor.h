@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "server/line_service.h"
+#include "server/request_shell.h"
 #include "util/mutex.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"

@@ -4,7 +4,6 @@
 
 #include "relational/ddl.h"
 #include "server/json.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -13,30 +12,24 @@ namespace server {
 
 namespace {
 
-/// Per-thread trace buffer cap a sampling daemon runs under: always-on
-/// sampling must not grow memory without bound (DESIGN.md §12).
-constexpr size_t kSamplingEventCap = 1u << 16;
-
-/// Server-side end-to-end latency histogram of `op` (dispatch to response
-/// handoff, cache hits and errors included), or nullptr for the meta ops.
-/// Pointers resolve once; steady-state cost is one relaxed record.
-Histogram* PerOpLatencyHistogram(RequestOp op) {
-  static Histogram* explain_us =
-      MetricsRegistry::Global().GetHistogram("server.op.explain_us");
-  static Histogram* topk_us =
-      MetricsRegistry::Global().GetHistogram("server.op.topk_us");
-  static Histogram* delta_us =
-      MetricsRegistry::Global().GetHistogram("server.op.delta_us");
-  switch (op) {
-    case RequestOp::kExplain:
-      return explain_us;
-    case RequestOp::kTopK:
-      return topk_us;
-    case RequestOp::kDelta:
-      return delta_us;
-    default:
-      return nullptr;
-  }
+/// The shell sizing and server.* metric handles of one service.
+ShellConfig MakeShellConfig(const ServiceOptions& options) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  ShellConfig config;
+  config.role = "xplaind";
+  config.num_workers = options.num_workers;
+  config.max_queue_depth = options.max_queue_depth;
+  config.flight_capacity = options.flight_capacity;
+  config.slow_query_us = options.slow_query_us;
+  config.trace_sample_period = options.trace_sample_period;
+  config.metrics.requests = registry.GetCounter("server.requests");
+  config.metrics.parse_errors = registry.GetCounter("server.parse_errors");
+  config.metrics.rejected = registry.GetCounter("server.rejected");
+  config.metrics.in_flight = registry.GetGauge("server.in_flight");
+  config.metrics.explain_us = registry.GetHistogram("server.op.explain_us");
+  config.metrics.topk_us = registry.GetHistogram("server.op.topk_us");
+  config.metrics.delta_us = registry.GetHistogram("server.op.delta_us");
+  return config;
 }
 
 /// One `"<op>":{"count":N,"p50_us":X,"p99_us":Y}` member of the STATS
@@ -52,6 +45,14 @@ void AppendOpLatency(const char* key, const Histogram& h, std::string* out) {
   *out += "}";
 }
 
+/// The FailedPrecondition a version-fenced request gets when this node
+/// serves `version` instead of the one it pinned.
+Status VersionMismatch(uint64_t version, const Request& request) {
+  return Status::FailedPrecondition(
+      "database version is " + std::to_string(version) +
+      ", request expected " + std::to_string(request.expect_version));
+}
+
 }  // namespace
 
 Result<std::unique_ptr<XplaindService>> XplaindService::Create(
@@ -60,294 +61,67 @@ Result<std::unique_ptr<XplaindService>> XplaindService::Create(
       new XplaindService(std::move(db), options));
   {
     WriterMutexLock lock(&service->db_mu_);
-    XPLAIN_RETURN_IF_ERROR(service->RebuildEngineLocked());
+    XPLAIN_ASSIGN_OR_RETURN(ExplainEngine engine,
+                            ExplainEngine::Create(&service->db_));
+    service->engine_ = std::make_unique<ExplainEngine>(std::move(engine));
   }
   return service;
 }
 
 XplaindService::XplaindService(Database db, const ServiceOptions& options)
-    : options_(options), db_(std::move(db)) {
-  const int workers = options_.num_workers == 0
-                          ? ThreadPool::DefaultNumThreads()
-                          : options_.num_workers;
-  admission_capacity_ =
-      static_cast<size_t>(workers < 1 ? 1 : workers) +
-      options_.max_queue_depth;
-  pool_ = std::make_unique<ThreadPool>(workers);
+    : LineService(MakeShellConfig(options)),
+      options_(options),
+      db_(std::move(db)) {
   if (options_.enable_cache) {
     cache_ = std::make_unique<ExplainCache>(options_.cache);
   }
-  flight_ = std::make_unique<FlightRecorder>(options_.flight_capacity,
-                                             options_.slow_query_us);
-  if (options_.trace_sample_period > 0) {
-    // Sampling implies collection: bound the per-thread buffers so an
-    // always-sampling daemon runs in fixed trace memory.
-    Trace::SetPerThreadEventCap(kSamplingEventCap);
-    Trace::Enable();
-  }
 }
 
-XplaindService::~XplaindService() {
-  Drain();
-  // Workers capture `this`; join them before any member is destroyed.
-  pool_->Shutdown();
-}
+XplaindService::~XplaindService() { StopWorkers(); }
 
-Status XplaindService::RebuildEngineLocked() {
-  XPLAIN_ASSIGN_OR_RETURN(ExplainEngine engine, ExplainEngine::Create(&db_));
-  engine_ = std::make_unique<ExplainEngine>(std::move(engine));
-  return Status::OK();
-}
-
-std::string XplaindService::HandleLine(const std::string& line) {
-  return SubmitLine(line).get();
-}
-
-std::future<std::string> XplaindService::SubmitLine(const std::string& line) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  SubmitLineWith(line, [promise](std::string response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
-void XplaindService::SubmitLineWith(const std::string& line,
-                                    std::function<void(std::string)> done) {
-  // Dispatch timestamp: feeds both the flight record and (when sampled)
-  // the rpc.dispatch span, so it is read unconditionally.
-  const int64_t arrive_us = Trace::NowMicros();
-  XPLAIN_COUNTER_ADD("server.requests", 1);
-  {
-    MutexLock lock(&mu_);
-    ++received_;
-  }
-
-  Result<Request> parsed = ParseRequest(line);
-  if (!parsed.ok()) {
-    XPLAIN_COUNTER_ADD("server.parse_errors", 1);
-    {
-      MutexLock lock(&mu_);
-      ++errors_;
-    }
-    done(
-        MakeResponse(ExtractRequestId(line), ErrorPayload(parsed.status())));
-    return;
-  }
-  const Request& request = *parsed;
-
-  // From here on every span (and the worker's, which re-installs the same
-  // context) carries the request's trace identity — or records nothing
-  // when the request is unsampled.
-  const TraceContext trace_context = ResolveTrace(request);
-  TraceContextScope trace_scope(trace_context);
-  Trace::RecordManual("rpc.dispatch", arrive_us, Trace::NowMicros());
-
-  // The flight-record skeleton of the counted ops (EXPLAIN/TOPK/DELTA);
-  // meta ops below return before touching it, so FLIGHT polling can never
-  // flood the ring it is inspecting.
-  FlightRecord record;
-  record.request_id = request.id;
-  record.trace_id = trace_context.sampled ? trace_context.trace_id : 0;
-  record.op = request.op;
-  record.start_us = arrive_us;
-
-  if (request.op == RequestOp::kStats) {
-    XPLAIN_TRACE_SPAN("rpc.stats");
-    done(MakeResponse(request.id, StatsPayload(request.want_schema)));
-    return;
-  }
-  if (request.op == RequestOp::kMetrics) {
-    XPLAIN_TRACE_SPAN("rpc.metrics");
-    done(MakeResponse(request.id, MetricsPayload()));
-    return;
-  }
-  if (request.op == RequestOp::kFlight) {
-    XPLAIN_TRACE_SPAN("rpc.flight");
-    done(MakeResponse(request.id, flight_->DumpPayload()));
-    return;
-  }
-  if (request.op == RequestOp::kDrain) {
-    XPLAIN_TRACE_SPAN("rpc.drain");
-    Drain();
-    done(MakeResponse(request.id, StatsPayload()));
-    return;
-  }
-
-  record.db_version = db_version();
-
-  if (draining()) {
-    {
-      MutexLock lock(&mu_);
-      ++errors_;
-    }
-    const Status unavailable = Status::Unavailable("service is draining");
-    record.code = unavailable.code();
-    CompleteRequest(std::move(record), done,
-                    MakeResponse(request.id, ErrorPayload(unavailable)));
-    return;
-  }
-
+bool XplaindService::Prepare(const Request& request, FlightRecord* record,
+                             std::string* payload, std::string* cache_key) {
+  record->db_version = db_version();
   // Version fence (DESIGN.md §13): fail fast at dispatch when the client
-  // pinned a version this node no longer serves. ExecutePayload and
-  // DeltaPayload recheck under their locks — this early check only saves
-  // the queueing, it is not the authoritative one.
+  // pinned a version this node no longer serves. ExecutePayload rechecks
+  // under its lock — this early check only saves the queueing, it is not
+  // the authoritative one.
   if (request.has_expect_version &&
-      db_version() != request.expect_version) {
-    {
-      MutexLock lock(&mu_);
-      ++errors_;
-    }
-    const Status stale = Status::FailedPrecondition(
-        "database version is " + std::to_string(db_version()) +
-        ", request expected " + std::to_string(request.expect_version));
-    record.code = stale.code();
-    CompleteRequest(std::move(record), done,
-                    MakeResponse(request.id, ErrorPayload(stale)));
-    return;
+      record->db_version != request.expect_version) {
+    const Status stale = VersionMismatch(record->db_version, request);
+    record->code = stale.code();
+    *payload = ErrorPayload(stale);
+    return true;
   }
-
-  if (request.op == RequestOp::kDelta) {
-    // Synchronous on the transport thread, like DRAIN: a delta is a
-    // serialized mutation, not pool work.
-    const int64_t execute_start_us = Trace::NowMicros();
-    std::string payload = DeltaPayload(request, &record.code);
-    record.execute_us = Trace::NowMicros() - execute_start_us;
-    record.db_version = db_version();
-    CompleteRequest(std::move(record), done,
-                    MakeResponse(request.id, std::move(payload)));
-    return;
-  }
-
   // Cache lookup happens before admission: hits cost no worker slot. The
-  // database version is part of the key, so a stale entry can never match.
-  // A version-fenced request keys on its *expected* version: a hit is then
-  // version-correct by construction even if a delta lands between this
-  // probe and the fence recheck. Rescore requests bypass the cache both
-  // ways — their answers are per-cell program-P runs the coordinator never
-  // repeats against the same version.
-  std::string cache_key;
-  const bool cacheable = request.rescore_cells.empty();
-  if (cache_ != nullptr && cacheable) {
-    TraceSpan probe_span("rpc.cache_probe");
-    record.cache = FlightRecord::CacheOutcome::kMiss;
-    const uint64_t key_version = request.has_expect_version
-                                     ? request.expect_version
-                                     : db_version();
-    cache_key = "v=" + std::to_string(key_version) + ";" +
-                CanonicalRequestKey(request);
-    std::optional<std::string> hit = cache_->Lookup(cache_key);
-    if (hit.has_value()) {
-      {
-        MutexLock lock(&mu_);
-        ++served_;
-        ++cache_hits_;
-      }
-      probe_span.End();
-      record.cache = FlightRecord::CacheOutcome::kHit;
-      CompleteRequest(std::move(record), done,
-                      MakeResponse(request.id, *std::move(hit)));
-      return;
-    }
-  }
-
-  std::string reject_payload;
-  if (!Admit(&reject_payload)) {
-    record.code = StatusCode::kResourceExhausted;
-    CompleteRequest(std::move(record), done,
-                    MakeResponse(request.id, std::move(reject_payload)));
-    return;
-  }
-
-  const int64_t admit_us = Trace::NowMicros();
-  std::future<Status> submitted = pool_->Submit(
-      [this, request, cache_key = std::move(cache_key), done, trace_context,
-       record, admit_us]() mutable {
-        TraceContextScope trace_scope(trace_context);
-        const int64_t execute_start_us = Trace::NowMicros();
-        record.queue_us = execute_start_us - admit_us;
-        Trace::RecordManual("rpc.queue_wait", admit_us, execute_start_us);
-        if (options_.execute_hook) options_.execute_hook();
-        bool ok = false;
-        std::shared_ptr<const CacheReadSet> read_set;
-        std::string payload =
-            ExecutePayload(request, &ok, &record.code, &read_set);
-        if (ok && cache_ != nullptr && !cache_key.empty()) {
-          cache_->Insert(cache_key, payload, std::move(read_set));
-        }
-        {
-          MutexLock lock(&mu_);
-          if (ok) {
-            ++served_;
-          } else {
-            ++errors_;
-          }
-        }
-        record.execute_us = Trace::NowMicros() - execute_start_us;
-        // Completion precedes FinishOne so a Drain() that observed this
-        // request as pending only returns once its response was handed
-        // off and its flight record landed — a drain-time FLIGHT dump is
-        // exact, never missing a just-finished request.
-        CompleteRequest(std::move(record), done,
-                        MakeResponse(request.id, std::move(payload)));
-        FinishOne();
-        return Status::OK();
-      });
-  if (!submitted.valid()) {
-    // Unreachable with a live pool; keep the contract airtight anyway.
-    FinishOne();
-    done(MakeResponse(
-        request.id, ErrorPayload(Status::Internal("worker pool rejected"))));
-  }
+  // database version is part of the key, so a stale entry can never match;
+  // a version-fenced request passed the fence above, so its key version is
+  // the one it pinned. Rescore requests bypass the cache both ways — their
+  // answers are per-cell program-P runs the coordinator never repeats
+  // against the same version.
+  if (cache_ == nullptr || !request.rescore_cells.empty()) return false;
+  TraceSpan probe_span("rpc.cache_probe");
+  record->cache = FlightRecord::CacheOutcome::kMiss;
+  *cache_key = "v=" + std::to_string(record->db_version) + ";" +
+               CanonicalRequestKey(request);
+  std::optional<std::string> hit = cache_->Lookup(*cache_key);
+  if (!hit.has_value()) return false;
+  record->cache = FlightRecord::CacheOutcome::kHit;
+  *payload = *std::move(hit);
+  return true;
 }
 
-TraceContext XplaindService::ResolveTrace(const Request& request) {
-  TraceContext context;
-  if (request.has_trace) {
-    context.sampled = request.trace_sampled;
-    context.trace_id = request.trace_id;
-    if (context.sampled && context.trace_id == 0) {
-      context.trace_id = Trace::NextTraceId();
-    }
-    return context;
+std::string XplaindService::Execute(const Request& request,
+                                    const std::string& cache_key,
+                                    FlightRecord* record) {
+  if (options_.execute_hook) options_.execute_hook();
+  bool ok = false;
+  std::shared_ptr<const CacheReadSet> read_set;
+  std::string payload = ExecutePayload(request, &ok, &record->code, &read_set);
+  if (ok && !cache_key.empty()) {
+    cache_->Insert(cache_key, payload, std::move(read_set));
   }
-  if (options_.trace_sample_period > 0) {
-    const uint64_t tick =
-        sample_counter_.fetch_add(1, std::memory_order_relaxed);
-    context.sampled = tick % options_.trace_sample_period == 0;
-    if (context.sampled) context.trace_id = Trace::NextTraceId();
-    return context;
-  }
-  // No wire context and no sampling: the default context (process-global
-  // recording whenever tracing is enabled — the pre-serving behavior).
-  return context;
-}
-
-void XplaindService::CompleteRequest(
-    FlightRecord record, const std::function<void(std::string)>& done,
-    std::string response) {
-  record.bytes = response.size();
-  const int64_t flush_start_us = Trace::NowMicros();
-  {
-    TraceSpan flush_span("rpc.flush");
-    done(std::move(response));
-  }
-  const int64_t end_us = Trace::NowMicros();
-  record.flush_us = end_us - flush_start_us;
-  if (Histogram* latency = PerOpLatencyHistogram(record.op)) {
-    latency->Record(static_cast<double>(end_us - record.start_us));
-  }
-  if (flight_->Record(record)) {
-    XPLAIN_LOG(kWarning) << "slow query: op=" << RequestOpToString(record.op)
-                         << " id=" << record.request_id
-                         << " trace=" << TraceIdToHex(record.trace_id)
-                         << " code=" << StatusCodeToString(record.code)
-                         << " cache=" << CacheOutcomeToString(record.cache)
-                         << " queue_us=" << record.queue_us
-                         << " execute_us=" << record.execute_us
-                         << " flush_us=" << record.flush_us
-                         << " bytes=" << record.bytes;
-  }
+  return payload;
 }
 
 std::string XplaindService::ExecutePayload(
@@ -364,10 +138,7 @@ std::string XplaindService::ExecutePayload(
   // computation (DESIGN.md §13).
   Result<UserQuestion> question =
       request.has_expect_version && db_.version() != request.expect_version
-          ? Result<UserQuestion>(Status::FailedPrecondition(
-                "database version is " + std::to_string(db_.version()) +
-                ", request expected " +
-                std::to_string(request.expect_version)))
+          ? Result<UserQuestion>(VersionMismatch(db_.version(), request))
           : BuildQuestion(db_, request);
   if (!question.ok()) {
     *code = question.status().code();
@@ -467,59 +238,18 @@ std::string XplaindService::ExecutePayload(
   return payload;
 }
 
-bool XplaindService::Admit(std::string* reject_payload) {
-  MutexLock lock(&mu_);
-  if (pending_ >= admission_capacity_) {
-    ++rejected_;
-    XPLAIN_COUNTER_ADD("server.rejected", 1);
-    *reject_payload = ErrorPayload(Status::ResourceExhausted(
-        "admission queue full (" + std::to_string(admission_capacity_) +
-        " requests pending)"));
-    return false;
-  }
-  ++pending_;
-  PublishInFlight(pending_);
-  return true;
-}
-
-void XplaindService::FinishOne() {
-  MutexLock lock(&mu_);
-  --pending_;
-  PublishInFlight(pending_);
-  if (pending_ == 0) idle_cv_.SignalAll();
-}
-
-void XplaindService::PublishInFlight(size_t pending) {
-  XPLAIN_GAUGE_SET("server.in_flight", static_cast<int64_t>(pending));
-}
-
-void XplaindService::Drain() {
-  XPLAIN_TRACE_SPAN("rpc.drain_wait");
-  // ordering: release — publishes every pre-drain write to transports that
-  // acquire-load draining() and observe true.
-  draining_.store(true, std::memory_order_release);
-  MutexLock lock(&mu_);
-  while (pending_ != 0) idle_cv_.Wait(&mu_);
-  // Flush the load gauge now that the service is quiescent.
-  PublishInFlight(pending_);
-  XPLAIN_LOG(kInfo) << "xplaind drained: served=" << served_
-                    << " cache_hits=" << cache_hits_
-                    << " rejected=" << rejected_ << " errors=" << errors_;
-}
-
 XplaindService::Stats XplaindService::GetStats() const {
+  const Counts counts = GetCounts();
   Stats stats;
-  {
-    MutexLock lock(&mu_);
-    stats.received = received_;
-    stats.served = served_;
-    stats.cache_hits = cache_hits_;
-    stats.rejected = rejected_;
-    stats.errors = errors_;
-    stats.in_flight = static_cast<int64_t>(pending_);
-  }
+  stats.received = counts.received;
+  stats.served = counts.served;
+  stats.rejected = counts.rejected;
+  stats.errors = counts.errors;
+  stats.in_flight = counts.in_flight;
   stats.db_version = db_version();
   if (cache_ != nullptr) stats.cache = cache_->GetStats();
+  // Every cache hit is served: the probe is the cache's only lookup.
+  stats.cache_hits = stats.cache.hits;
   return stats;
 }
 
@@ -557,22 +287,14 @@ std::string XplaindService::StatsPayload(bool want_schema) const {
   out += "}";
   // Server-side per-op latency, derived from the process-wide log2
   // histograms (dispatch to response handoff; cache hits included).
+  const ShellMetrics& metrics = shell_metrics();
   out += ",\"latency\":{";
-  AppendOpLatency("explain", *PerOpLatencyHistogram(RequestOp::kExplain),
-                  &out);
+  AppendOpLatency("explain", *metrics.explain_us, &out);
   out += ",";
-  AppendOpLatency("topk", *PerOpLatencyHistogram(RequestOp::kTopK), &out);
+  AppendOpLatency("topk", *metrics.topk_us, &out);
   out += ",";
-  AppendOpLatency("delta", *PerOpLatencyHistogram(RequestOp::kDelta), &out);
+  AppendOpLatency("delta", *metrics.delta_us, &out);
   out += "}";
-  return out;
-}
-
-std::string XplaindService::MetricsPayload() const {
-  std::string out =
-      "\"ok\":true,\"op\":\"METRICS\","
-      "\"content_type\":\"text/plain; version=0.0.4\",\"exposition\":";
-  AppendJsonString(MetricsRegistry::Global().PrometheusText(), &out);
   return out;
 }
 
@@ -597,20 +319,6 @@ Status XplaindService::ApplyDelta(const DeltaSet& delta) {
 
 Status XplaindService::ApplyDeltaLocked(const DeltaSet& delta) {
   XPLAIN_TRACE_SPAN("rpc.apply_delta");
-
-  if (!options_.incremental_deltas) {
-    // Legacy rebuild path: full copy + engine rebuild + cache wipe, all
-    // under the writer lock. Closing the delta *before* the copy keeps the
-    // bump-once contract — ApplyDelta and the follow-up SemijoinReduce
-    // used to bump the version twice per delta (DESIGN.md §10).
-    WriterMutexLock lock(&db_mu_);
-    DeltaSet closed = delta;
-    MarkDanglingRows(db_, &closed);
-    db_ = db_.ApplyDelta(closed);
-    XPLAIN_RETURN_IF_ERROR(RebuildEngineLocked());
-    if (cache_ != nullptr) cache_->InvalidateAll();
-    return CountDeltaApplied();
-  }
 
   // Phase A (read-only, concurrent with requests): close the delta, remap
   // U(D), patch the cube workspace, recompute the unique-core signature.
@@ -687,10 +395,9 @@ Status XplaindService::ApplyDeltaLocked(const DeltaSet& delta) {
   return CountDeltaApplied();
 }
 
-std::string XplaindService::DeltaPayload(const Request& request,
-                                         StatusCode* code) {
+std::string XplaindService::Delta(const Request& request,
+                                  FlightRecord* record) {
   XPLAIN_TRACE_SPAN("rpc.delta");
-  *code = StatusCode::kOk;
   // Build and apply under one delta lock so the row positions resolved by
   // BuildDelta cannot be shifted by a concurrent delta before they apply.
   MutexLock delta_lock(&delta_mu_);
@@ -702,40 +409,25 @@ std::string XplaindService::DeltaPayload(const Request& request,
     // to (DESIGN.md §13).
     if (request.has_expect_version &&
         db_.version() != request.expect_version) {
-      return Status::FailedPrecondition(
-          "database version is " + std::to_string(db_.version()) +
-          ", request expected " + std::to_string(request.expect_version));
+      return VersionMismatch(db_.version(), request);
     }
-    for (int r = 0; r < db_.num_relations(); ++r) {
-      rows_before += db_.relation(r).NumRows();
-    }
+    rows_before = db_.TotalRows();
     return BuildDelta(db_, request);
   }();
-  if (!delta.ok()) {
-    MutexLock lock(&mu_);
-    ++errors_;
-    *code = delta.status().code();
-    return ErrorPayload(delta.status());
-  }
-  Status applied = ApplyDeltaLocked(*delta);
-  if (!applied.ok()) {
-    MutexLock lock(&mu_);
-    ++errors_;
-    *code = applied.code();
-    return ErrorPayload(applied);
-  }
+  Status applied = delta.ok() ? ApplyDeltaLocked(*delta) : delta.status();
   size_t rows_after = 0;
-  uint64_t version = 0;
   {
     ReaderMutexLock lock(&db_mu_);
-    for (int r = 0; r < db_.num_relations(); ++r) {
-      rows_after += db_.relation(r).NumRows();
-    }
-    version = db_.version();
+    rows_after = db_.TotalRows();
+    record->db_version = db_.version();
+  }
+  if (!applied.ok()) {
+    record->code = applied.code();
+    return ErrorPayload(applied);
   }
   std::string out = "\"ok\":true,\"op\":\"DELTA\",\"removed\":";
   out += std::to_string(rows_before - rows_after);
-  out += ",\"db_version\":" + std::to_string(version);
+  out += ",\"db_version\":" + std::to_string(record->db_version);
   return out;
 }
 

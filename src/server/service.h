@@ -1,24 +1,19 @@
 #ifndef XPLAIN_SERVER_SERVICE_H_
 #define XPLAIN_SERVER_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 
 #include "core/engine.h"
 #include "relational/database.h"
 #include "server/explain_cache.h"
-#include "server/flight_recorder.h"
-#include "server/line_service.h"
 #include "server/protocol.h"
+#include "server/request_shell.h"
 #include "util/mutex.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
-#include "util/trace.h"
 
 namespace xplain {
 namespace server {
@@ -36,12 +31,6 @@ struct ServiceOptions {
   /// Serve repeated requests from the explanation cache.
   bool enable_cache = true;
   ExplainCacheOptions cache;
-  /// ApplyDelta maintains the engine in place: plan under a reader lock
-  /// (concurrent EXPLAINs keep running), then swap under a short writer
-  /// lock, then re-key the cache entries the delta did not touch
-  /// (DESIGN.md §10). false = the legacy path: full database copy, engine
-  /// rebuild, and cache wipe, all under the writer lock.
-  bool incremental_deltas = true;
   /// Probe budget for targeted cache invalidation: when cache entries x
   /// removed universal rows exceeds this, ApplyDelta gives up on probing
   /// read sets and wipes the cache instead (still incremental otherwise).
@@ -69,18 +58,19 @@ struct ServiceOptions {
 };
 
 /// The xplaind explanation-serving service: owns a Database and its
-/// ExplainEngine, admits newline-delimited JSON requests (server/protocol),
-/// executes them on a bounded thread pool, and serves repeated requests
-/// from a version-keyed ExplainCache. Transports (loopback, TCP) are thin
-/// shells over SubmitLine/HandleLine.
+/// ExplainEngine, and serves the NDJSON protocol (server/protocol) through
+/// the shared request shell (LineService: parse, admission, pool, drain,
+/// flight record; DESIGN.md §8). Its own steps are the dispatch-time
+/// version fence plus the version-keyed ExplainCache probe, the DELTA
+/// mutation, and engine execution on a shell worker.
 ///
 /// Lifecycle: Create -> serve -> Drain (stop admitting, finish in-flight,
 /// flush metrics) -> destructor. The destructor drains implicitly.
 ///
-/// Thread-safety: safe — SubmitLine/HandleLine/Stats/Drain may be called
-/// concurrently from any number of transport threads. ApplyDelta is the
-/// only mutator and serializes against in-flight requests via an internal
-/// reader/writer lock.
+/// Thread-safety: safe — SubmitLine/HandleLine/GetStats/Drain may be
+/// called concurrently from any number of transport threads. ApplyDelta is
+/// the only mutator and serializes against in-flight requests via an
+/// internal reader/writer lock.
 class XplaindService : public LineService {
  public:
   /// Takes ownership of `db`. Fails when the engine cannot be built
@@ -90,57 +80,23 @@ class XplaindService : public LineService {
 
   ~XplaindService() override;
 
-  XplaindService(const XplaindService&) = delete;
-  XplaindService& operator=(const XplaindService&) = delete;
-
-  /// Fully handles one request line: parse, admit, execute, serialize.
-  /// Blocks the calling (transport) thread until the response is ready and
-  /// never throws — every failure becomes an error-response line.
-  std::string HandleLine(const std::string& line);
-
-  /// Asynchronous form of HandleLine: admission (and cache hits, STATS,
-  /// DRAIN, and rejections) happen synchronously on the caller; engine
-  /// execution runs on the service pool. The future always becomes ready.
-  std::future<std::string> SubmitLine(const std::string& line);
-
-  /// Callback form of SubmitLine for non-blocking transports (the epoll
-  /// reactors): `done` is invoked exactly once with the response line —
-  /// synchronously on the caller for parse errors, cache hits, STATS,
-  /// DRAIN, draining refusals and admission rejections, or on a pool
-  /// worker after execution. `done` must not block; a reactor callback
-  /// only enqueues the response for the owning event loop.
-  void SubmitLineWith(const std::string& line,
-                      std::function<void(std::string)> done) override;
-
   /// Applies a tuple delta to the owned database (removing dangling rows
-  /// like the paper's D - Delta semantics). On the default incremental
-  /// path (ServiceOptions::incremental_deltas) the expensive planning —
-  /// delta closure, U(D) remap, cube patches, read-set probing — runs
-  /// under a *reader* lock so concurrent requests keep executing; only the
-  /// final pointer/state swap excludes readers. The database version bumps
+  /// like the paper's D - Delta semantics), maintaining the engine in
+  /// place (DESIGN.md §10): the expensive planning — delta closure, U(D)
+  /// remap, cube patches, read-set probing — runs under a *reader* lock
+  /// so concurrent requests keep executing; only the final pointer/state
+  /// swap excludes readers. The database version bumps
   /// exactly once per delta that removes rows, and not at all for an empty
   /// delta; cache entries whose read sets the delta did not touch survive
   /// under the new version. Deltas serialize against each other.
   [[nodiscard]] Status ApplyDelta(const DeltaSet& delta);
-
-  /// Stops admitting EXPLAIN/TOPK requests (they get kUnavailable), waits
-  /// for every in-flight request to finish, and flushes the server gauges.
-  /// Idempotent; safe from any thread, including a transport thread that
-  /// just parsed a DRAIN request.
-  void Drain();
-
-  /// True once Drain() started; transports use it to stop accepting.
-  /// ordering: acquire — pairs with the release store in Drain() so a
-  /// transport that observes true also observes every write Drain() made
-  /// before flipping the flag.
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   /// Live counters for STATS payloads and tests.
   /// Thread-safety: plain data, externally synchronized.
   struct Stats {
     int64_t received = 0;       // lines seen
     int64_t served = 0;         // ok EXPLAIN/TOPK responses (incl. cached)
-    int64_t cache_hits = 0;     // served straight from the cache
+    int64_t cache_hits = 0;     // served straight from the cache (= cache.hits)
     int64_t rejected = 0;       // kResourceExhausted admissions
     int64_t errors = 0;         // error responses other than rejections
     int64_t in_flight = 0;      // admitted, not yet finished
@@ -148,10 +104,6 @@ class XplaindService : public LineService {
     ExplainCache::Stats cache;
   };
   Stats GetStats() const;
-
-  /// The always-on per-request flight recorder (FLIGHT op, slow-query
-  /// pinning; DESIGN.md §12). Stable address for the service lifetime.
-  const FlightRecorder& flight_recorder() const { return *flight_; }
 
   /// The serving database (stable address; mutated only by ApplyDelta).
   const Database& db() const {
@@ -163,13 +115,22 @@ class XplaindService : public LineService {
  private:
   explicit XplaindService(Database db, const ServiceOptions& options);
 
-  /// Builds the engine for the current db_. Requires exclusive db access.
-  Status RebuildEngineLocked() XPLAIN_REQUIRES(db_mu_);
-
   /// The body of ApplyDelta, for callers already holding delta_mu_ (the
   /// DELTA request handler builds and applies under one lock so row
   /// positions cannot go stale in between).
   Status ApplyDeltaLocked(const DeltaSet& delta) XPLAIN_REQUIRES(delta_mu_);
+
+  /// Shell hooks (DESIGN.md §8): the dispatch-time version fence plus the
+  /// cache probe (a hit answers without a worker slot; a miss carries the
+  /// cache key to Execute), the synchronous DELTA step, the worker step
+  /// (ExecutePayload + cache insert), and the STATS payload.
+  bool Prepare(const Request& request, FlightRecord* record,
+               std::string* payload, std::string* cache_key) override;
+  std::string Delta(const Request& request, FlightRecord* record) override;
+  std::string Execute(const Request& request, const std::string& cache_key,
+                      FlightRecord* record) override;
+  /// `want_schema` attaches the schema DDL (STATS {"schema":true}).
+  std::string StatsPayload(bool want_schema) const override;
 
   /// Executes an admitted EXPLAIN/TOPK on the current engine and returns
   /// the response payload (or an error payload). Runs on a pool worker.
@@ -181,41 +142,7 @@ class XplaindService : public LineService {
                              StatusCode* code,
                              std::shared_ptr<const CacheReadSet>* read_set);
 
-  /// Handles a DELTA request synchronously on the transport thread:
-  /// resolves the delta spec against the serving database, applies it, and
-  /// returns the response payload. `*code` receives the outcome code.
-  std::string DeltaPayload(const Request& request, StatusCode* code);
-
-  /// `want_schema` attaches the schema DDL (STATS {"schema":true}).
-  std::string StatsPayload(bool want_schema = false) const;
-  std::string MetricsPayload() const;
-
-  /// Decides the request's trace identity: a wire-supplied context wins;
-  /// otherwise the sampling period picks (and ids) one of every N
-  /// requests; otherwise the default context (process-global tracing
-  /// semantics). Called once per request, before any request span opens.
-  TraceContext ResolveTrace(const Request& request);
-
-  /// Completes one counted request (EXPLAIN/TOPK/DELTA, any outcome):
-  /// times the response handoff as the rpc.flush span, invokes `done`
-  /// exactly once, records the per-op latency histogram, and appends the
-  /// flight record — logging it when it crossed the slow-query threshold.
-  /// Runs under the request's TraceContextScope on whichever thread
-  /// finished the request. `record` arrives with identity, cache outcome,
-  /// code and queue/execute times filled in; flush_us/bytes/seq are
-  /// assigned here.
-  void CompleteRequest(FlightRecord record,
-                       const std::function<void(std::string)>& done,
-                       std::string response);
-
-  /// True when the request was admitted; false = reject (payload set).
-  bool Admit(std::string* reject_payload);
-  void FinishOne();
-  /// Single definition site for the server.in_flight gauge.
-  static void PublishInFlight(size_t pending);
-
   ServiceOptions options_;
-  size_t admission_capacity_ = 0;
 
   /// Serializes whole ApplyDelta calls against each other, so a plan made
   /// under the reader lock can never be invalidated by a concurrent delta
@@ -230,23 +157,6 @@ class XplaindService : public LineService {
       XPLAIN_PT_GUARDED_BY(db_mu_);
 
   std::unique_ptr<ExplainCache> cache_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<FlightRecorder> flight_;
-
-  std::atomic<bool> draining_{false};
-  /// Round-robin sampling clock for trace_sample_period (relaxed: exact
-  /// one-in-N spacing under contention is not required, only the rate).
-  std::atomic<uint64_t> sample_counter_{0};
-
-  mutable Mutex mu_{kMutexRankService};
-  CondVar idle_cv_;  // signaled when pending_ hits 0
-  /// Admitted, unfinished requests.
-  size_t pending_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t received_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t served_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t cache_hits_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t rejected_ XPLAIN_GUARDED_BY(mu_) = 0;
-  int64_t errors_ XPLAIN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace server

@@ -117,16 +117,12 @@ void IgnoreError(T&&) {}
 
 }  // namespace xplain
 
-/// Propagates a non-OK Status from the enclosing function. Canonical
-/// spelling; XPLAIN_RETURN_NOT_OK is the legacy alias.
+/// Propagates a non-OK Status from the enclosing function.
 #define XPLAIN_RETURN_IF_ERROR(expr)               \
   do {                                             \
     ::xplain::Status _st = (expr);                 \
     if (!_st.ok()) return _st;                     \
   } while (false)
-
-/// Legacy alias for XPLAIN_RETURN_IF_ERROR.
-#define XPLAIN_RETURN_NOT_OK(expr) XPLAIN_RETURN_IF_ERROR(expr)
 
 /// Explicitly drops an error return. Use sparingly; prefer propagation.
 #define XPLAIN_IGNORE_ERROR(expr) ::xplain::IgnoreError((expr))

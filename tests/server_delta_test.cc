@@ -2,8 +2,8 @@
 // targeted cache invalidation keeps untouched entries warm across a
 // version bump, the DELTA wire op applies and validates deltas, reads
 // make progress while a delta is being planned, the bump-once version
-// contract holds end to end, and the legacy rebuild path stays
-// byte-identical to the incremental one.
+// contract holds end to end, and the maintained engine stays
+// byte-identical to a fresh engine over the reference D - Delta.
 
 #include <chrono>
 #include <future>
@@ -235,21 +235,25 @@ TEST(ServerDeltaTest, EmptyDeltaDoesNotBumpOrInvalidate) {
 }
 
 TEST(ServerDeltaTest, OneDeltaBumpsVersionExactlyOnce) {
-  // Regression: ApplyDelta used to bump twice per delta (once in
-  // Database::ApplyDelta, once in the follow-up SemijoinReduce).
-  for (const bool incremental : {true, false}) {
-    ServiceOptions options;
-    options.incremental_deltas = incremental;
-    auto service =
-        UnwrapOrDie(XplaindService::Create(MakeRandom(), options));
-    const uint64_t before = service->db_version();
-    DeltaSet delta = service->db().EmptyDelta();
-    const int c_index = *service->db().RelationIndex("C");
-    delta[static_cast<size_t>(c_index)].Set(0);
-    XPLAIN_EXPECT_OK(service->ApplyDelta(delta));
-    EXPECT_EQ(service->db_version(), before + 1)
-        << (incremental ? "incremental" : "legacy");
-  }
+  // Regression: ApplyDelta used to bump twice per delta (once for the
+  // removal, once for the dangling-row closure). Row 0 of C leaves rows
+  // dangling, so the closure removes more than the requested row — and
+  // the version still moves by exactly one, through the API and the wire.
+  auto service = UnwrapOrDie(XplaindService::Create(MakeRandom()));
+  const size_t rows_before = service->db().TotalRows();
+  uint64_t before = service->db_version();
+  DeltaSet delta = service->db().EmptyDelta();
+  const int c_index = *service->db().RelationIndex("C");
+  delta[static_cast<size_t>(c_index)].Set(0);
+  XPLAIN_EXPECT_OK(service->ApplyDelta(delta));
+  EXPECT_EQ(service->db_version(), before + 1);
+  EXPECT_GT(rows_before - service->db().TotalRows(), 1u);
+
+  before = service->db_version();
+  const std::string response = service->HandleLine(
+      "{\"id\":1,\"op\":\"DELTA\",\"relation\":\"C\",\"rows\":[0]}");
+  ASSERT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  EXPECT_EQ(service->db_version(), before + 1);
 }
 
 TEST(ServerDeltaTest, ReadsProgressWhileDeltaIsPlanned) {
@@ -356,34 +360,37 @@ TEST(ServerDeltaTest, ConcurrentReadersDuringRepeatedDeltas) {
             DirectResponse(reference, reference_engine, QMaritalLine(2)));
 }
 
-TEST(ServerDeltaTest, LegacyRebuildPathMatchesIncremental) {
-  ServiceOptions legacy_options;
-  legacy_options.incremental_deltas = false;
-  auto legacy =
-      UnwrapOrDie(XplaindService::Create(MakeRandom(), legacy_options));
-  auto incremental = UnwrapOrDie(XplaindService::Create(MakeRandom()));
-  LoopbackTransport legacy_transport(legacy.get());
-  LoopbackTransport incremental_transport(incremental.get());
-
+TEST(ServerDeltaTest, IncrementalDeltaMatchesFreshEngine) {
+  // The reference: Database::ApplyDelta + SemijoinReduce over a copy, and
+  // a fresh engine built on the result.
+  auto service = UnwrapOrDie(XplaindService::Create(MakeRandom()));
+  LoopbackTransport transport(service.get());
   const std::string line = RandomDbLine(9, 1);
-  EXPECT_EQ(legacy_transport.Call(line), incremental_transport.Call(line));
+  ASSERT_NE(transport.Call(line).find("\"ok\":true"), std::string::npos);
 
-  const std::string delta_line =
-      "{\"id\":10,\"op\":\"DELTA\",\"relation\":\"C\",\"rows\":[0,3]}";
-  const std::string legacy_delta = legacy_transport.Call(delta_line);
-  const std::string incremental_delta =
-      incremental_transport.Call(delta_line);
-  ASSERT_NE(legacy_delta.find("\"ok\":true"), std::string::npos)
-      << legacy_delta;
-  EXPECT_EQ(legacy_delta, incremental_delta);
+  Database reference = MakeRandom();
+  const uint64_t version_before = reference.version();
+  DeltaSet delta = reference.EmptyDelta();
+  const int c_index = *reference.RelationIndex("C");
+  delta[static_cast<size_t>(c_index)].Set(0);
+  delta[static_cast<size_t>(c_index)].Set(3);
+  reference = reference.ApplyDelta(delta);
+  reference.SemijoinReduce();
+  const ExplainEngine reference_engine =
+      UnwrapOrDie(ExplainEngine::Create(&reference));
 
-  // Same version, same answers, byte for byte.
-  EXPECT_EQ(legacy->db_version(), incremental->db_version());
-  EXPECT_EQ(legacy_transport.Call(line), incremental_transport.Call(line));
+  const std::string delta_response = transport.Call(
+      "{\"id\":10,\"op\":\"DELTA\",\"relation\":\"C\",\"rows\":[0,3]}");
+  ASSERT_NE(delta_response.find("\"ok\":true"), std::string::npos)
+      << delta_response;
 
-  // The legacy path wiped; the incremental path did not.
-  EXPECT_GE(legacy->GetStats().cache.full_invalidations, 1);
-  EXPECT_EQ(incremental->GetStats().cache.full_invalidations, 0);
+  // Same rows, same answers byte for byte, one version bump — and the
+  // maintained cache never needed a full wipe.
+  EXPECT_EQ(service->db().TotalRows(), reference.TotalRows());
+  EXPECT_EQ(service->db_version(), version_before + 1);
+  EXPECT_EQ(transport.Call(line),
+            DirectResponse(reference, reference_engine, line));
+  EXPECT_EQ(service->GetStats().cache.full_invalidations, 0);
 }
 
 }  // namespace

@@ -86,15 +86,6 @@ TEST(ReturnIfErrorTest, PassesThroughOnOk) {
   EXPECT_TRUE(reached_end);
 }
 
-TEST(ReturnIfErrorTest, LegacyAliasStillWorks) {
-  const auto fn = [](bool fail) -> Status {
-    XPLAIN_RETURN_NOT_OK(FailIf(fail));
-    return Status::OK();
-  };
-  EXPECT_TRUE(fn(false).ok());
-  EXPECT_EQ(fn(true).code(), StatusCode::kInternal);
-}
-
 Result<int> MakeInt(bool fail) {
   if (fail) return Status::NotFound("no int");
   return 41;

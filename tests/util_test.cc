@@ -42,21 +42,6 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_FALSE(Status::NotFound("a") == Status::NotFound("b"));
 }
 
-Status FailIfNegative(int x) {
-  if (x < 0) return Status::InvalidArgument("negative");
-  return Status::OK();
-}
-
-Status UsesReturnNotOk(int x) {
-  XPLAIN_RETURN_NOT_OK(FailIfNegative(x));
-  return Status::OK();
-}
-
-TEST(StatusTest, ReturnNotOkMacroPropagates) {
-  EXPECT_TRUE(UsesReturnNotOk(1).ok());
-  EXPECT_EQ(UsesReturnNotOk(-1).code(), StatusCode::kInvalidArgument);
-}
-
 Result<int> ParsePositive(int x) {
   if (x <= 0) return Status::OutOfRange("not positive");
   return x;

@@ -33,7 +33,7 @@ void HandleSignal(int) { g_interrupted.store(true); }
 int Usage(std::ostream& os) {
   os << "usage: xplaind (--db DIR | --gen dblp) [--scale S] [--port P]\n"
      << "               [--workers N] [--queue N] [--reactors N] [--no-cache]\n"
-     << "               [--legacy-deltas] [--trace-sample N] [--trace-out F]\n"
+     << "               [--trace-sample N] [--trace-out F]\n"
      << "               [--flight N] [--slow_query_us N]\n"
      << "  --db DIR      serve a directory-stored database (schema.ddl+CSV)\n"
      << "  --gen dblp    serve the synthetic DBLP instance instead\n"
@@ -43,8 +43,6 @@ int Usage(std::ostream& os) {
      << "  --queue N     admission queue depth beyond workers (default 64)\n"
      << "  --reactors N  epoll event-loop threads (default: hardware)\n"
      << "  --no-cache    disable the explanation cache\n"
-     << "  --legacy-deltas  DELTA rebuilds the engine and wipes the cache\n"
-     << "                   instead of incremental maintenance (DESIGN.md §10)\n"
      << "  --trace-sample N  trace one of every N requests without a wire\n"
      << "                    trace context (0 = off, 1 = all; DESIGN.md §12)\n"
      << "  --trace-out F     write the Chrome trace JSON to F at drain time\n"
@@ -83,8 +81,6 @@ int main(int argc, char** argv) {
       tcp.num_reactors = std::stoi(argv[++i]);
     } else if (arg == "--no-cache") {
       service_options.enable_cache = false;
-    } else if (arg == "--legacy-deltas") {
-      service_options.incremental_deltas = false;
     } else if (arg == "--trace-sample" && i + 1 < argc) {
       service_options.trace_sample_period =
           static_cast<uint64_t>(std::stoull(argv[++i]));

@@ -53,7 +53,8 @@ int Usage(std::ostream& os) {
      << "                       surfaces as ok:false, never a hang\n"
      << "                       (default 30000; 0 = block)\n"
      << "  --flight N           flight-recorder ring capacity (default 256)\n"
-     << "  --slow_query_us N    log and pin slow fan-outs (default: off)\n";
+     << "  --slow_query_us N    log and pin requests whose queue+execute+flush\n"
+     << "                       time reaches N microseconds (default: off)\n";
   return 2;
 }
 
