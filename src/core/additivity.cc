@@ -147,8 +147,14 @@ AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
 
 AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
                                      const NumericalQuery& query) {
-  AdditivityReport base = CheckQueryAdditivity(universal, query);
-  if (!base.additive) return base;
+  return CheckCellAdditivity(universal, query,
+                             CheckQueryAdditivity(universal, query));
+}
+
+AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
+                                     const NumericalQuery& query,
+                                     const AdditivityReport& query_report) {
+  if (!query_report.additive) return query_report;
   for (const AggregateQuery& q : query.subqueries()) {
     AdditivityReport report = CheckSubqueryCellExact(universal, q);
     if (!report.additive) return report;

@@ -52,6 +52,13 @@ AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
 AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
                                      const NumericalQuery& query);
 
+/// As above, reusing `query_report` = CheckQueryAdditivity(universal,
+/// query) instead of re-running that check, so one explain pays for the
+/// query-level check once.
+AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
+                                     const NumericalQuery& query,
+                                     const AdditivityReport& query_report);
+
 /// True if some relation of `universal` is a unique core (Rule (i) is then
 /// exact for every conjunctive explanation).
 bool HasUniqueCore(const UniversalRelation& universal);

@@ -13,6 +13,30 @@ double MsSince(int64_t start_us) {
   return static_cast<double>(Trace::NowMicros() - start_us) / 1000.0;
 }
 
+/// Wraps a freshly computed cube for table M. When `workspace` is set and
+/// the aggregate is maintainable, the cube is offered for retention with
+/// its cell-liveness sidecar (COUNT(*) over the same filter and
+/// attributes); `count_cube` computes that sidecar for aggregates other
+/// than COUNT(*).
+template <typename CountCube>
+Result<std::shared_ptr<const DataCube>> KeepCube(
+    const Database& db, CubeWorkspace* workspace, const AggregateQuery& q,
+    const std::vector<ColumnRef>& attributes, DataCube cube,
+    const CountCube& count_cube) {
+  if (workspace == nullptr || !CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
+    return std::make_shared<const DataCube>(std::move(cube));
+  }
+  DataCube::CellMap counts;
+  if (q.agg.kind == AggregateKind::kCountStar) {
+    counts = cube.cells();
+  } else {
+    XPLAIN_ASSIGN_OR_RETURN(DataCube count_cells, count_cube());
+    counts = std::move(*count_cells.mutable_cells());
+  }
+  return workspace->InsertCube(db, q, attributes, std::move(cube),
+                               std::move(counts));
+}
+
 }  // namespace
 
 int64_t TableM::FindRow(const Tuple& cell) const {
@@ -34,23 +58,11 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
 
   TableM table;
   table.attributes = attributes;
-
-  // Step 1: u_j = q_j(D).
   XPLAIN_TRACE_SPAN("tablem.compute");
-  int64_t step_start_us = Trace::NowMicros();
-  {
-    XPLAIN_TRACE_SPAN("tablem.originals");
-    table.original_values.reserve(m);
-    for (const AggregateQuery& q : query.subqueries()) {
-      Value v = EvaluateAggregate(universal, q.agg, &q.where);
-      table.original_values.push_back(v.is_null() ? 0.0 : v.AsNumeric());
-    }
-  }
-  table.build_stats.originals_ms = MsSince(step_start_us);
 
-  // Step 2: the m cubes. Counting subqueries take the columnar fast path:
-  // one dictionary-encoding pass shared by all m cubes, then code-vector
-  // group-bys.
+  // Counting subqueries take the columnar fast path: one set of
+  // dictionary-encoded columns shared by all m cubes, then code-vector
+  // group-bys, and u_j read off each cube's apex cell.
   bool all_counting = options.use_column_cache;
   for (const AggregateQuery& q : query.subqueries()) {
     if (q.agg.kind != AggregateKind::kCountStar &&
@@ -58,19 +70,39 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
       all_counting = false;
     }
   }
-  // Cubes are held by shared_ptr so rows can come either from the
-  // maintained workspace (shared across calls) or a fresh computation.
+  table.build_stats.used_column_cache = all_counting;
+  table.original_values.reserve(m);
+
+  // Step 1 (generic aggregates): u_j = q_j(D), row at a time. A floating
+  // SUM/AVG apex could differ from it in the last bit.
+  int64_t step_start_us = Trace::NowMicros();
+  if (!all_counting) {
+    XPLAIN_TRACE_SPAN("tablem.originals");
+    for (const AggregateQuery& q : query.subqueries()) {
+      Value v = EvaluateAggregate(universal, q.agg, &q.where);
+      table.original_values.push_back(v.is_null() ? 0.0 : v.AsNumeric());
+    }
+    table.build_stats.originals_ms = MsSince(step_start_us);
+  }
+
+  // Step 2: the m cubes, each from the maintained workspace when it holds
+  // one (shared across calls) or computed fresh.
   const Database& db = universal.db();
   CubeWorkspace* workspace = options.workspace;
-  std::vector<std::shared_ptr<const DataCube>> cubes;
-  cubes.reserve(m);
-  table.build_stats.used_column_cache = all_counting;
+  std::vector<std::shared_ptr<const DataCube>> cubes(m);
+  std::vector<int> missed;
   step_start_us = Trace::NowMicros();
   TraceSpan cubes_span("tablem.cubes");
-  if (all_counting) {
-    // Cache the grouping attributes, every distinct-counted column, and
-    // every filter column, so both the group-by and the WHERE clauses run
-    // on dictionary codes.
+  for (int j = 0; j < m; ++j) {
+    if (workspace != nullptr) {
+      cubes[j] = workspace->LookupCube(db, query.subqueries()[j], attributes);
+    }
+    if (cubes[j] == nullptr) missed.push_back(j);
+  }
+  if (all_counting && !missed.empty()) {
+    // Encode the grouping attributes plus every distinct-counted and filter
+    // column of the cubes still to build, so both the group-by and the
+    // WHERE clauses run on dictionary codes.
     std::vector<ColumnRef> cached_columns = attributes;
     auto add_column = [&cached_columns](const ColumnRef& column) {
       for (const ColumnRef& col : cached_columns) {
@@ -78,7 +110,8 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
       }
       cached_columns.push_back(column);
     };
-    for (const AggregateQuery& q : query.subqueries()) {
+    for (int j : missed) {
+      const AggregateQuery& q = query.subqueries()[j];
       if (q.agg.kind == AggregateKind::kCountDistinct) {
         add_column(q.agg.column);
       }
@@ -88,29 +121,19 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
         }
       }
     }
-    std::shared_ptr<const ColumnCache> cache_ptr =
-        workspace ? workspace->LookupColumns(cached_columns) : nullptr;
-    if (cache_ptr == nullptr) {
-      ColumnCache built = ColumnCache::Build(universal, cached_columns);
-      cache_ptr = workspace
-                      ? workspace->InsertColumns(cached_columns,
-                                                 std::move(built))
-                      : std::make_shared<const ColumnCache>(std::move(built));
-    }
-    const ColumnCache& cache = *cache_ptr;
+    const int64_t encode_start_us = Trace::NowMicros();
+    TraceSpan encode_span("tablem.encode");
+    const ColumnCache cache =
+        workspace != nullptr ? workspace->Columns(universal, cached_columns)
+                             : ColumnCache::Build(universal, cached_columns);
+    encode_span.End();
+    table.build_stats.encode_ms = MsSince(encode_start_us);
     std::vector<int> attr_indices;
     for (size_t i = 0; i < attributes.size(); ++i) {
       attr_indices.push_back(static_cast<int>(i));
     }
-    for (const AggregateQuery& q : query.subqueries()) {
-      if (workspace != nullptr) {
-        std::shared_ptr<const DataCube> hit =
-            workspace->LookupCube(db, q, attributes);
-        if (hit != nullptr) {
-          cubes.push_back(std::move(hit));
-          continue;
-        }
-      }
+    for (int j : missed) {
+      const AggregateQuery& q = query.subqueries()[j];
       XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
                               CodedFilter::Compile(cache, q.where));
       RowSet filter_rows = filter.EvalAllRows(cache);
@@ -122,63 +145,45 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
           DataCube::ComputeCached(cache, attr_indices, q.agg.kind,
                                   distinct_index, &filter_rows,
                                   options.cube));
-      if (workspace != nullptr &&
-          CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
-        // The cell-liveness sidecar: COUNT(*) over the same filter/attrs.
-        DataCube::CellMap counts;
-        if (q.agg.kind == AggregateKind::kCountStar) {
-          counts = cube.cells();
-        } else {
-          XPLAIN_ASSIGN_OR_RETURN(
-              DataCube count_cube,
-              DataCube::ComputeCached(cache, attr_indices,
-                                      AggregateKind::kCountStar, -1,
-                                      &filter_rows, options.cube));
-          counts = std::move(*count_cube.mutable_cells());
-        }
-        cubes.push_back(workspace->InsertCube(db, q, attributes,
-                                              std::move(cube),
-                                              std::move(counts)));
-      } else {
-        cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
-      }
+      XPLAIN_ASSIGN_OR_RETURN(
+          cubes[j], KeepCube(db, workspace, q, attributes, std::move(cube),
+                             [&] {
+                               return DataCube::ComputeCached(
+                                   cache, attr_indices,
+                                   AggregateKind::kCountStar, -1,
+                                   &filter_rows, options.cube);
+                             }));
     }
   } else {
-    for (const AggregateQuery& q : query.subqueries()) {
-      if (workspace != nullptr) {
-        std::shared_ptr<const DataCube> hit =
-            workspace->LookupCube(db, q, attributes);
-        if (hit != nullptr) {
-          cubes.push_back(std::move(hit));
-          continue;
-        }
-      }
+    for (int j : missed) {
+      const AggregateQuery& q = query.subqueries()[j];
       XPLAIN_ASSIGN_OR_RETURN(
           DataCube cube, DataCube::Compute(universal, attributes, q.agg,
                                            &q.where, options.cube));
-      if (workspace != nullptr &&
-          CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
-        DataCube::CellMap counts;
-        if (q.agg.kind == AggregateKind::kCountStar) {
-          counts = cube.cells();
-        } else {
-          XPLAIN_ASSIGN_OR_RETURN(
-              DataCube count_cube,
-              DataCube::Compute(universal, attributes,
-                                AggregateSpec::CountStar(), &q.where,
-                                options.cube));
-          counts = std::move(*count_cube.mutable_cells());
-        }
-        cubes.push_back(workspace->InsertCube(db, q, attributes,
-                                              std::move(cube),
-                                              std::move(counts)));
-      } else {
-        cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
-      }
+      XPLAIN_ASSIGN_OR_RETURN(
+          cubes[j], KeepCube(db, workspace, q, attributes, std::move(cube),
+                             [&] {
+                               return DataCube::Compute(
+                                   universal, attributes,
+                                   AggregateSpec::CountStar(), &q.where,
+                                   options.cube);
+                             }));
     }
   }
   cubes_span.End();
   table.build_stats.cube_build_ms = MsSince(step_start_us);
+
+  // Step 1 (counting subqueries): u_j is the apex (all-ALL) cell, which
+  // maintained cubes keep patched under deltas. A filter that passes no
+  // row leaves no apex, which reads 0 like the row-at-a-time count.
+  if (all_counting) {
+    step_start_us = Trace::NowMicros();
+    XPLAIN_TRACE_SPAN("tablem.apex");
+    for (const auto& cube : cubes) {
+      table.original_values.push_back(cube->GrandTotal());
+    }
+    table.build_stats.originals_ms = MsSince(step_start_us);
+  }
 
   // Step 3: full outer join, then the shared assemble step (support
   // pruning + degree columns) that the cluster coordinator reuses over

@@ -17,10 +17,15 @@ namespace xplain {
 /// copies it into QueryStats when ExplainOptions::collect_stats is set.
 /// Thread-safety: plain data, externally synchronized.
 struct TableMStats {
-  /// Step 1: evaluating u_j = q_j(D).
+  /// Step 1: u_j = q_j(D) — the cube apex cells on the columnar path, a
+  /// row-at-a-time evaluation otherwise.
   double originals_ms = 0.0;
-  /// Step 2: building the m data cubes (columnar or generic path).
+  /// Step 2: building the m data cubes (columnar or generic path),
+  /// including encode_ms.
   double cube_build_ms = 0.0;
+  /// The part of cube_build_ms spent assembling the dictionary-encoded
+  /// columns (encoding the ones no earlier question retained).
+  double encode_ms = 0.0;
   /// Step 3: full outer join of the cubes + support pruning.
   double merge_ms = 0.0;
   /// Steps 4-5: the mu_interv / mu_aggr degree columns.
@@ -82,11 +87,11 @@ struct TableMOptions {
   /// COUNT(*) or COUNT(DISTINCT) (bit-identical results; see
   /// bench_ablation_cube for the speedup).
   bool use_column_cache = true;
-  /// Optional store of incrementally-maintained cubes and column caches
+  /// Optional store of incrementally-maintained cubes and encoded columns
   /// shared across calls (DESIGN.md §10). When set, per-subquery cubes are
-  /// looked up before computing and maintainable fresh results are
-  /// retained. nullptr computes everything from scratch (identical
-  /// results).
+  /// looked up first, columns are assembled only for the cubes that
+  /// missed, and maintainable fresh results are retained. nullptr computes
+  /// everything from scratch (identical results).
   CubeWorkspace* workspace = nullptr;
 };
 

@@ -75,15 +75,6 @@ std::string CanonicalCubeKey(const Database& db, const AggregateQuery& query,
   return key;
 }
 
-std::string CanonicalColumnsKey(const std::vector<ColumnRef>& columns) {
-  std::string key = "cols;";
-  for (const ColumnRef& col : columns) {
-    AppendField(&key, std::to_string(col.relation) + "." +
-                          std::to_string(col.attribute));
-  }
-  return key;
-}
-
 bool CubeWorkspace::CubeIsMaintainable(const Database& db,
                                        const AggregateSpec& agg) {
   switch (agg.kind) {
@@ -140,33 +131,53 @@ std::shared_ptr<const DataCube> CubeWorkspace::InsertCube(
   return shared;
 }
 
-std::shared_ptr<const ColumnCache> CubeWorkspace::LookupColumns(
-    const std::vector<ColumnRef>& columns) const {
-  const std::string key = CanonicalColumnsKey(columns);
-  MutexLock lock(&mu_);
-  auto it = columns_.find(key);
-  if (it == columns_.end()) {
-    ++column_misses_;
-    XPLAIN_COUNTER_ADD("workspace.column_misses", 1);
-    return nullptr;
+ColumnCache CubeWorkspace::Columns(const UniversalRelation& universal,
+                                   const std::vector<ColumnRef>& columns) {
+  std::vector<std::shared_ptr<const EncodedColumn>> encoded(columns.size());
+  std::vector<size_t> missing;
+  {
+    MutexLock lock(&mu_);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      auto it = columns_.find(columns[c]);
+      if (it == columns_.end()) {
+        missing.push_back(c);
+      } else {
+        encoded[c] = it->second;
+      }
+    }
+    column_hits_ += static_cast<int64_t>(columns.size() - missing.size());
+    column_misses_ += static_cast<int64_t>(missing.size());
   }
-  ++column_hits_;
-  XPLAIN_COUNTER_ADD("workspace.column_hits", 1);
-  return it->second;
-}
+  XPLAIN_COUNTER_ADD("workspace.column_hits",
+                     static_cast<int64_t>(columns.size() - missing.size()));
+  XPLAIN_COUNTER_ADD("workspace.column_misses",
+                     static_cast<int64_t>(missing.size()));
+  if (missing.empty()) {
+    return ColumnCache::FromColumns(universal, std::move(encoded));
+  }
 
-std::shared_ptr<const ColumnCache> CubeWorkspace::InsertColumns(
-    const std::vector<ColumnRef>& columns, ColumnCache cache) {
-  auto shared = std::make_shared<ColumnCache>(std::move(cache));
-  const std::string key = CanonicalColumnsKey(columns);
-  MutexLock lock(&mu_);
-  if (frozen_ || columns_.size() >= limits_.max_column_caches ||
-      columns_.count(key) != 0) {
-    return shared;
+  std::vector<std::shared_ptr<EncodedColumn>> fresh;
+  fresh.reserve(missing.size());
+  for (size_t c : missing) {
+    fresh.push_back(std::make_shared<EncodedColumn>(
+        EncodedColumn::Encode(universal, columns[c])));
   }
-  columns_.emplace(key, shared);
-  XPLAIN_COUNTER_ADD("workspace.column_inserts", 1);
-  return shared;
+  {
+    MutexLock lock(&mu_);
+    for (size_t i = 0; i < missing.size(); ++i) {
+      const size_t c = missing[i];
+      encoded[c] = fresh[i];
+      if (frozen_) continue;
+      auto it = columns_.find(columns[c]);
+      if (it != columns_.end()) {
+        encoded[c] = it->second;  // a concurrent request retained it first
+      } else if (columns_.size() < limits_.max_columns) {
+        columns_.emplace(columns[c], fresh[i]);
+        XPLAIN_COUNTER_ADD("workspace.column_inserts", 1);
+      }
+    }
+  }
+  return ColumnCache::FromColumns(universal, std::move(encoded));
 }
 
 void CubeWorkspace::BeginDelta() {
@@ -177,12 +188,6 @@ void CubeWorkspace::BeginDelta() {
 void CubeWorkspace::AbortDelta() {
   MutexLock lock(&mu_);
   frozen_ = false;
-}
-
-void CubeWorkspace::Clear() {
-  MutexLock lock(&mu_);
-  cubes_.clear();
-  columns_.clear();
 }
 
 CubeWorkspaceStats CubeWorkspace::GetStats() const {
@@ -381,8 +386,13 @@ void CubeWorkspace::CommitDelta(Patch&& patch, const UniversalRemap& remap) {
       entry.counts.erase(coord);
     }
   }
-  for (auto& [key, cache] : columns_) {
-    cache->ApplyRemap(remap.surviving_universal);
+  const std::vector<uint32_t>& surviving = remap.surviving_universal;
+  for (auto& [column, encoded] : columns_) {
+    std::vector<uint32_t> codes(surviving.size());
+    for (size_t i = 0; i < surviving.size(); ++i) {
+      codes[i] = encoded->codes[surviving[i]];
+    }
+    encoded->codes.swap(codes);
   }
   cells_patched_ += patch.cells_patched;
   cells_recomputed_ += patch.cells_recomputed;

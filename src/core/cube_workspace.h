@@ -1,11 +1,13 @@
 #ifndef XPLAIN_CORE_CUBE_WORKSPACE_H_
 #define XPLAIN_CORE_CUBE_WORKSPACE_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "relational/column_cache.h"
 #include "relational/cube.h"
 #include "relational/query.h"
 #include "util/mutex.h"
@@ -18,26 +20,26 @@ namespace xplain {
 std::string CanonicalCubeKey(const Database& db, const AggregateQuery& query,
                              const std::vector<ColumnRef>& attributes);
 
-/// Canonical key for a maintained ColumnCache (the cached column list).
-/// Thread-safety: safe (pure).
-std::string CanonicalColumnsKey(const std::vector<ColumnRef>& columns);
-
 /// Counters snapshot of one CubeWorkspace (see GetStats).
 /// Thread-safety: plain data, externally synchronized.
 struct CubeWorkspaceStats {
   int64_t cube_hits = 0;
   int64_t cube_misses = 0;
+  /// Requested columns served by a retained encoding / encoded afresh.
   int64_t column_hits = 0;
   int64_t column_misses = 0;
   int64_t cells_patched = 0;
   int64_t cells_recomputed = 0;
   size_t cube_entries = 0;
+  /// Retained encoded columns.
   size_t column_entries = 0;
 };
 
-/// A store of incrementally-maintained DataCubes and ColumnCaches keyed by
-/// (aggregate, filter, attributes) / column list, shared across Explain
-/// calls of one ExplainEngine (DESIGN.md §10).
+/// A store of incrementally-maintained DataCubes, keyed by (aggregate,
+/// filter, attributes), and of dictionary-encoded columns, keyed by
+/// column, shared across Explain calls of one ExplainEngine (DESIGN.md
+/// §10). A column is encoded at most once per engine (while retained),
+/// whichever questions ask for it.
 ///
 /// Cubes are retained only when their aggregate admits exact subtraction
 /// maintenance (CubeIsMaintainable): COUNT(*)/SUM(int64) subtract cleanly;
@@ -63,7 +65,10 @@ class CubeWorkspace {
   /// workspace is an optimization, never a correctness dependency).
   struct Limits {
     size_t max_cubes = 64;
-    size_t max_column_caches = 8;
+    /// Retained encoded columns (each 4 bytes per universal row plus its
+    /// dictionary). Columns are distinct, so retention never exceeds the
+    /// schema's column count either.
+    size_t max_columns = 32;
   };
 
   /// A planned maintenance update for the whole workspace: per-entry cell
@@ -111,14 +116,14 @@ class CubeWorkspace {
       const std::vector<ColumnRef>& attributes, DataCube cube,
       DataCube::CellMap counts);
 
-  /// The maintained ColumnCache for `columns`, or nullptr.
-  std::shared_ptr<const ColumnCache> LookupColumns(
-      const std::vector<ColumnRef>& columns) const;
-
-  /// Offers a freshly built ColumnCache for retention (same skip rules as
-  /// InsertCube); returns it shared either way.
-  std::shared_ptr<const ColumnCache> InsertColumns(
-      const std::vector<ColumnRef>& columns, ColumnCache cache);
+  /// One request's ColumnCache over `columns` of `universal` (the
+  /// current U(D)): retained encodings are shared by pointer, and only the
+  /// missing columns are encoded, outside the lock. Fresh encodings are
+  /// offered for retention under InsertCube's freeze and cap rules; when a
+  /// concurrent request retained the same column first, that encoding is
+  /// used instead. Counts one column hit or miss per requested column.
+  ColumnCache Columns(const UniversalRelation& universal,
+                      const std::vector<ColumnRef>& columns);
 
   /// Freezes inserts for the duration of a delta (lookups stay open).
   void BeginDelta();
@@ -130,16 +135,14 @@ class CubeWorkspace {
   Patch PlanDelta(const UniversalRelation& old_universal,
                   const UniversalRemap& remap) const;
 
-  /// Applies `patch` and remaps every retained ColumnCache onto the
-  /// surviving rows, then unfreezes inserts. Caller must hold exclusive
-  /// access over every reader that could hold a cube/cache pointer.
+  /// Applies `patch` and gathers every retained encoded column onto the
+  /// surviving rows (once per column), then unfreezes inserts. Caller must
+  /// hold exclusive access over every reader that could hold a cube or
+  /// column pointer.
   void CommitDelta(Patch&& patch, const UniversalRemap& remap);
 
   /// Unfreezes inserts without applying anything (failed/abandoned delta).
   void AbortDelta();
-
-  /// Drops every retained entry (legacy full-rebuild path).
-  void Clear();
 
   /// Point-in-time counters and sizes.
   CubeWorkspaceStats GetStats() const;
@@ -157,13 +160,13 @@ class CubeWorkspace {
   Limits limits_;
   mutable Mutex mu_{kMutexRankCubeWorkspace};
   std::unordered_map<std::string, CubeEntry> cubes_ XPLAIN_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::shared_ptr<ColumnCache>> columns_
+  std::map<ColumnRef, std::shared_ptr<EncodedColumn>> columns_
       XPLAIN_GUARDED_BY(mu_);
   bool frozen_ XPLAIN_GUARDED_BY(mu_) = false;
   mutable int64_t cube_hits_ XPLAIN_GUARDED_BY(mu_) = 0;
   mutable int64_t cube_misses_ XPLAIN_GUARDED_BY(mu_) = 0;
-  mutable int64_t column_hits_ XPLAIN_GUARDED_BY(mu_) = 0;
-  mutable int64_t column_misses_ XPLAIN_GUARDED_BY(mu_) = 0;
+  int64_t column_hits_ XPLAIN_GUARDED_BY(mu_) = 0;
+  int64_t column_misses_ XPLAIN_GUARDED_BY(mu_) = 0;
   int64_t cells_patched_ XPLAIN_GUARDED_BY(mu_) = 0;
   int64_t cells_recomputed_ XPLAIN_GUARDED_BY(mu_) = 0;
 };

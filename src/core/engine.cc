@@ -44,7 +44,10 @@ std::vector<std::pair<std::string, double>> QueryStats::ToFlat() const {
   std::vector<std::pair<std::string, double>> out = {
       {"total_ms", total_ms},
       {"semijoin_ms", semijoin_ms},
+      {"additivity_ms", additivity_ms},
+      {"originals_ms", originals_ms},
       {"cube_build_ms", cube_build_ms},
+      {"encode_ms", encode_ms},
       {"merge_ms", merge_ms},
       {"degree_ms", degree_ms},
       {"topk_ms", topk_ms},
@@ -176,7 +179,8 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
   }
   PartialExplainReport report;
   report.additivity = CheckQueryAdditivity(*universal_, question.query);
-  report.cell_additivity = CheckCellAdditivity(*universal_, question.query);
+  report.cell_additivity =
+      CheckCellAdditivity(*universal_, question.query, report.additivity);
   const int num_threads = options.num_threads == 0
                               ? ThreadPool::DefaultNumThreads()
                               : options.num_threads;
@@ -246,7 +250,9 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
     report.stats_collected = true;
     QueryStats& stats = report.stats;
     stats.total_ms = PhaseMs(explain_start_us);
+    stats.originals_ms = report.table.build_stats.originals_ms;
     stats.cube_build_ms = report.table.build_stats.cube_build_ms;
+    stats.encode_ms = report.table.build_stats.encode_ms;
     stats.merge_ms = report.table.build_stats.merge_ms;
     stats.degree_ms = report.table.build_stats.degree_ms;
     stats.table_rows = report.table.NumRows();
@@ -271,9 +277,14 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
   };
 
   ExplainReport report;
-  report.original_value = question.query.EvaluateOnUniversal(*universal_);
-  report.additivity = CheckQueryAdditivity(*universal_, question.query);
-  report.cell_additivity = CheckCellAdditivity(*universal_, question.query);
+  const int64_t additivity_start_us = Trace::NowMicros();
+  {
+    XPLAIN_TRACE_SPAN("engine.additivity");
+    report.additivity = CheckQueryAdditivity(*universal_, question.query);
+    report.cell_additivity =
+        CheckCellAdditivity(*universal_, question.query, report.additivity);
+  }
+  report.stats.additivity_ms = PhaseMs(additivity_start_us);
   report.used_cube = options.use_cube;
 
   // The parallel execution layer (DESIGN.md §6): one pool per Explain
@@ -302,6 +313,8 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
         report.table,
         ComputeTableMNaive(*universal_, question, attributes, naive_options));
   }
+  // Q(D) from the table's u_j, so it is evaluated once per question.
+  report.original_value = question.query.Combine(report.table.original_values);
 
   const bool need_exact = options.degree == DegreeKind::kIntervention &&
                           !report.cell_additivity.additive;

@@ -61,15 +61,27 @@ std::string CanonicalOptionsKey(const ExplainOptions& options);
 
 /// Per-phase breakdown of one Explain call (EXPLAIN-style report),
 /// populated when ExplainOptions::collect_stats is set. All times are
-/// wall-clock milliseconds; semijoin_ms is accumulated across the
+/// wall-clock milliseconds. additivity_ms, originals_ms, cube_build_ms,
+/// merge_ms, degree_ms, topk_ms and exact_rescore_ms are disjoint and
+/// together cover nearly all of total_ms; encode_ms is part of
+/// cube_build_ms, and semijoin_ms is accumulated across the
 /// semijoin-reduction passes nested inside other phases.
 /// Thread-safety: plain data, externally synchronized.
 struct QueryStats {
   double total_ms = 0.0;
   /// Time inside semijoin reduction (MarkDanglingRows), wherever it ran.
   double semijoin_ms = 0.0;
-  /// Building the m data cubes (TableMStats::cube_build_ms).
+  /// The query- and cell-level additivity checks.
+  double additivity_ms = 0.0;
+  /// Q(D)'s subquery values u_j (TableMStats::originals_ms): the cube
+  /// apex cells for counting questions, a row-at-a-time pass otherwise.
+  double originals_ms = 0.0;
+  /// Building the m data cubes (TableMStats::cube_build_ms), encode_ms
+  /// included.
   double cube_build_ms = 0.0;
+  /// The part of cube_build_ms spent assembling encoded columns
+  /// (TableMStats::encode_ms).
+  double encode_ms = 0.0;
   /// Full-outer-joining the cubes + support pruning.
   double merge_ms = 0.0;
   /// Degree columns (mu_interv / mu_aggr).

@@ -1,48 +1,65 @@
 #include "relational/column_cache.h"
 
+#include <unordered_map>
+
+#include "util/logging.h"
+
 namespace xplain {
+
+EncodedColumn EncodedColumn::Encode(const UniversalRelation& universal,
+                                    const ColumnRef& column) {
+  EncodedColumn out;
+  out.column = column;
+  // Encode at the base-relation level first -- in join workloads the base
+  // table is much smaller than U(D), so the Value hashing happens once per
+  // base row and the per-universal-row work is an integer gather.
+  const Relation& base_rel = universal.db().relation(column.relation);
+  std::vector<uint32_t> base_codes(base_rel.NumRows());
+  std::unordered_map<Value, uint32_t> code_of;
+  for (size_t row = 0; row < base_rel.NumRows(); ++row) {
+    const Value& v = base_rel.at(row, column.attribute);
+    auto [it, inserted] =
+        code_of.emplace(v, static_cast<uint32_t>(out.dictionary.size()));
+    if (inserted) out.dictionary.push_back(v);
+    base_codes[row] = it->second;
+  }
+  out.codes.resize(universal.NumRows());
+  for (size_t u = 0; u < out.codes.size(); ++u) {
+    out.codes[u] = base_codes[universal.BaseRow(u, column.relation)];
+  }
+  return out;
+}
 
 ColumnCache ColumnCache::Build(const UniversalRelation& universal,
                                const std::vector<ColumnRef>& columns) {
-  ColumnCache cache;
-  cache.universal_ = &universal;
-  cache.columns_ = columns;
-  cache.num_rows_ = universal.NumRows();
-  cache.codes_.resize(columns.size());
-  cache.dictionaries_.resize(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    std::vector<uint32_t>& codes = cache.codes_[c];
-    std::vector<Value>& dictionary = cache.dictionaries_[c];
-    codes.resize(cache.num_rows_);
-    // Encode at the base-relation level first -- in join workloads the base
-    // table is much smaller than U(D), so the Value hashing happens once
-    // per base row and the per-universal-row work is an integer gather.
-    const Relation& base_rel = universal.db().relation(columns[c].relation);
-    std::vector<uint32_t> base_codes(base_rel.NumRows());
-    std::unordered_map<Value, uint32_t> code_of;
-    for (size_t row = 0; row < base_rel.NumRows(); ++row) {
-      const Value& v = base_rel.at(row, columns[c].attribute);
-      auto [it, inserted] =
-          code_of.emplace(v, static_cast<uint32_t>(dictionary.size()));
-      if (inserted) dictionary.push_back(v);
-      base_codes[row] = it->second;
-    }
-    for (size_t u = 0; u < cache.num_rows_; ++u) {
-      codes[u] = base_codes[universal.BaseRow(u, columns[c].relation)];
-    }
+  std::vector<std::shared_ptr<const EncodedColumn>> encoded;
+  encoded.reserve(columns.size());
+  for (const ColumnRef& column : columns) {
+    encoded.push_back(std::make_shared<const EncodedColumn>(
+        EncodedColumn::Encode(universal, column)));
   }
-  return cache;
+  return FromColumns(universal, std::move(encoded));
 }
 
-void ColumnCache::ApplyRemap(const std::vector<uint32_t>& surviving_universal) {
-  for (std::vector<uint32_t>& codes : codes_) {
-    std::vector<uint32_t> next(surviving_universal.size());
-    for (size_t i = 0; i < surviving_universal.size(); ++i) {
-      next[i] = codes[surviving_universal[i]];
-    }
-    codes.swap(next);
+ColumnCache ColumnCache::FromColumns(
+    const UniversalRelation& universal,
+    std::vector<std::shared_ptr<const EncodedColumn>> columns) {
+  ColumnCache cache;
+  cache.universal_ = &universal;
+  cache.num_rows_ = universal.NumRows();
+  cache.columns_.reserve(columns.size());
+  cache.codes_.reserve(columns.size());
+  cache.dictionaries_.reserve(columns.size());
+  for (const std::shared_ptr<const EncodedColumn>& column : columns) {
+    XPLAIN_CHECK(column->codes.size() == cache.num_rows_)
+        << "encoded column covers " << column->codes.size()
+        << " rows, universal relation has " << cache.num_rows_;
+    cache.columns_.push_back(column->column);
+    cache.codes_.push_back(column->codes.data());
+    cache.dictionaries_.push_back(&column->dictionary);
   }
-  num_rows_ = surviving_universal.size();
+  cache.encoded_ = std::move(columns);
+  return cache;
 }
 
 int ColumnCache::FindColumn(const ColumnRef& column) const {

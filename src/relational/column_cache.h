@@ -2,7 +2,7 @@
 #define XPLAIN_RELATIONAL_COLUMN_CACHE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "relational/predicate.h"
@@ -10,25 +10,48 @@
 
 namespace xplain {
 
-/// A columnar, dictionary-encoded materialization of selected universal-
-/// relation columns.
+/// One dictionary-encoded universal-relation column: a dense code per
+/// universal row plus the dictionary the codes index. Encoded once per
+/// engine and shared by pointer across every ColumnCache that needs the
+/// column (DESIGN.md §10).
+///
+/// Thread-safety: thread-compatible — immutable while shared; only
+/// CubeWorkspace::CommitDelta rewrites `codes`, under exclusive access.
+struct EncodedColumn {
+  /// Encodes `column` of `universal`. Codes are assigned in first-
+  /// appearance base-row order; the dictionary is deduplicated and
+  /// bijective with the values present in the base relation.
+  static EncodedColumn Encode(const UniversalRelation& universal,
+                              const ColumnRef& column);
+
+  ColumnRef column;
+  std::vector<uint32_t> codes;    // [universal row]
+  std::vector<Value> dictionary;  // [code]
+};
+
+/// A columnar, dictionary-encoded view of selected universal-relation
+/// columns, in request order.
 ///
 /// The row-at-a-time cube evaluation hashes Tuples of Values per input row;
 /// for the multi-cube Algorithm 1 this dominates the runtime. The cache
-/// extracts each needed column once into a dense uint32 code array plus a
-/// per-column dictionary, after which group-by keys are cheap integer
-/// vectors. (The same columnar trick backs the ablation benchmark
-/// bench_ablation_cube.)
+/// holds each needed column as a dense uint32 code array plus a per-column
+/// dictionary, after which group-by keys are cheap integer vectors. (The
+/// same columnar trick backs the ablation benchmark bench_ablation_cube.)
 ///
-/// Thread-safety: thread-compatible — concurrent const access is safe;
-/// ApplyRemap requires exclusive access.
+/// Thread-safety: safe for concurrent const access — the encoded columns
+/// it shares are immutable while any request holds them.
 class ColumnCache {
  public:
-  /// Materializes `columns` of `universal`. Codes are assigned in first-
-  /// appearance base-row order; dictionaries are per-column, deduplicated,
-  /// and bijective with the values present in the base relation.
+  /// Encodes every column in `columns` of `universal` afresh (see
+  /// EncodedColumn::Encode).
   static ColumnCache Build(const UniversalRelation& universal,
                            const std::vector<ColumnRef>& columns);
+
+  /// Assembles a cache from already-encoded columns, shared by pointer.
+  /// Every column must cover all rows of `universal`.
+  static ColumnCache FromColumns(
+      const UniversalRelation& universal,
+      std::vector<std::shared_ptr<const EncodedColumn>> columns);
 
   /// The universal relation the codes index into.
   const UniversalRelation& universal() const { return *universal_; }
@@ -36,17 +59,8 @@ class ColumnCache {
   const std::vector<ColumnRef>& columns() const { return columns_; }
   /// Number of cached columns.
   int num_columns() const { return static_cast<int>(columns_.size()); }
-  /// Number of encoded rows (equals universal().NumRows() at Build /
-  /// ApplyRemap time).
+  /// Number of encoded rows (equals universal().NumRows()).
   size_t NumRows() const { return num_rows_; }
-
-  /// Shrinks the cache to the surviving universal rows after a delta:
-  /// gathers each column's code array over `surviving_universal` (old row
-  /// indices, ascending — see UniversalRemap). Dictionaries are kept
-  /// as-is, so they may become supersets of the live values; every
-  /// consumer keys by code or decodes per live row, which is unaffected.
-  /// Requires exclusive access.
-  void ApplyRemap(const std::vector<uint32_t>& surviving_universal);
 
   /// Dictionary code of column `col` in universal row `row`.
   uint32_t Code(size_t row, int col) const {
@@ -55,12 +69,17 @@ class ColumnCache {
 
   /// Decoded value for a column code.
   const Value& Decode(int col, uint32_t code) const {
-    return dictionaries_[col][code];
+    return (*dictionaries_[col])[code];
   }
 
   /// Number of codes in column `col`'s dictionary. Also used as the
-  /// reserved "ALL" sentinel code for rolled-up cube coordinates.
-  size_t DictionarySize(int col) const { return dictionaries_[col].size(); }
+  /// reserved "ALL" sentinel code for rolled-up cube coordinates. A
+  /// column retained across deltas keeps its dictionary, so it may be a
+  /// superset of the live values; every consumer keys by code or decodes
+  /// per live row, which is unaffected.
+  size_t DictionarySize(int col) const {
+    return dictionaries_[col]->size();
+  }
 
   /// Index of `column` within the cache, or -1.
   int FindColumn(const ColumnRef& column) const;
@@ -69,8 +88,10 @@ class ColumnCache {
   const UniversalRelation* universal_ = nullptr;
   std::vector<ColumnRef> columns_;
   size_t num_rows_ = 0;
-  std::vector<std::vector<uint32_t>> codes_;        // [col][row]
-  std::vector<std::vector<Value>> dictionaries_;    // [col][code]
+  std::vector<std::shared_ptr<const EncodedColumn>> encoded_;
+  // Raw views into `encoded_`, so Code() costs what a flat array would.
+  std::vector<const uint32_t*> codes_;                    // [col][row]
+  std::vector<const std::vector<Value>*> dictionaries_;  // [col][code]
 };
 
 /// Pre-evaluates a filter over all universal rows into a bitmap (rows

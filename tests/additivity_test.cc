@@ -88,6 +88,45 @@ TEST(AdditivityTest, QueryAdditivityAggregatesSubqueries) {
   EXPECT_NE(report.reason.find("q2"), std::string::npos);
 }
 
+// The cell check given the query-level report (one query check per
+// explain) must say exactly what the self-contained cell check says.
+TEST(AdditivityTest, CellCheckReusesQueryReport) {
+  for (const bool all_standard : {false, true}) {
+    Database db = BuildRunningExample(all_standard);
+    UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
+    const ColumnRef pubid = *db.ResolveColumn("Publication.pubid");
+    const ColumnRef year = *db.ResolveColumn("Publication.year");
+    const AggregateSpec aggs[] = {
+        AggregateSpec::CountStar(), AggregateSpec::CountDistinct(pubid),
+        AggregateSpec::CountDistinct(year), AggregateSpec::Sum(year)};
+    const char* filters[] = {"", "Publication.venue = 'SIGMOD'",
+                             "Author.dom = 'com'"};
+    ExprPtr expr = UnwrapOrDie(ParseExpression("q1 / q2", {"q1", "q2"}));
+    size_t compared = 0;
+    for (const AggregateSpec& agg1 : aggs) {
+      for (const AggregateSpec& agg2 : aggs) {
+        for (const char* filter : filters) {
+          AggregateQuery q1, q2;
+          q1.name = "q1";
+          q1.agg = agg1;
+          q2.name = "q2";
+          q2.agg = agg2;
+          if (*filter != '\0') q2.where = Pred(db, filter);
+          NumericalQuery query =
+              UnwrapOrDie(NumericalQuery::Create({q1, q2}, expr));
+          const AdditivityReport alone = CheckCellAdditivity(u, query);
+          const AdditivityReport reused = CheckCellAdditivity(
+              u, query, CheckQueryAdditivity(u, query));
+          EXPECT_EQ(alone.additive, reused.additive) << alone.reason;
+          EXPECT_EQ(alone.reason, reused.reason);
+          ++compared;
+        }
+      }
+    }
+    EXPECT_EQ(compared, 48u);
+  }
+}
+
 // Empirical check of Def. 4.2: q(D - Delta^phi) == q(D) - q(D_phi) for
 // count(distinct pubid) on the running example, across several phi.
 TEST(AdditivityTest, EmpiricalInterventionAdditivity) {

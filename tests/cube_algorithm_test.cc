@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/naive.h"
 #include "gtest/gtest.h"
@@ -135,6 +137,100 @@ TEST_F(CubeAlgorithmTest, NaiveCandidateCapEnforced) {
   options.max_candidates = 2;
   EXPECT_FALSE(
       ComputeTableMNaive(*universal_, question_, attrs_, options).ok());
+}
+
+/// The raw bytes of a double column, so equal means byte-identical.
+std::string Bytes(const std::vector<double>& values) {
+  return std::string(reinterpret_cast<const char*>(values.data()),
+                     values.size() * sizeof(double));
+}
+
+void ExpectSameTable(const TableM& a, const TableM& b) {
+  ASSERT_EQ(a.NumRows(), b.NumRows());
+  for (size_t row = 0; row < a.NumRows(); ++row) {
+    EXPECT_EQ(TupleToString(a.coords[row]), TupleToString(b.coords[row]));
+  }
+  EXPECT_EQ(Bytes(a.original_values), Bytes(b.original_values));
+  ASSERT_EQ(a.subquery_values.size(), b.subquery_values.size());
+  for (size_t j = 0; j < a.subquery_values.size(); ++j) {
+    EXPECT_EQ(Bytes(a.subquery_values[j]), Bytes(b.subquery_values[j]));
+  }
+  EXPECT_EQ(Bytes(a.mu_interv), Bytes(b.mu_interv));
+  EXPECT_EQ(Bytes(a.mu_aggr), Bytes(b.mu_aggr));
+  EXPECT_EQ(a.cube_mask, b.cube_mask);
+}
+
+TEST_F(CubeAlgorithmTest, WorkspaceEncodesEachColumnOnce) {
+  CubeWorkspace workspace;
+  TableMOptions options;
+  options.workspace = &workspace;
+  (void)UnwrapOrDie(ComputeTableM(*universal_, question_, attrs_, options));
+  // Author.name, Publication.year, the counted pubid, Author.dom, venue.
+  const CubeWorkspaceStats first = workspace.GetStats();
+  EXPECT_EQ(first.column_hits, 0);
+  EXPECT_EQ(first.column_misses, 5);
+  EXPECT_EQ(first.column_entries, 5u);
+
+  // A second question shares name, pubid, dom and venue; only Author.inst
+  // is new, so only it is encoded.
+  const std::vector<ColumnRef> attrs = {*db_.ResolveColumn("Author.name"),
+                                        *db_.ResolveColumn("Author.inst")};
+  TableM shared =
+      UnwrapOrDie(ComputeTableM(*universal_, question_, attrs, options));
+  const CubeWorkspaceStats second = workspace.GetStats();
+  EXPECT_EQ(second.column_hits - first.column_hits, 4);
+  EXPECT_EQ(second.column_misses - first.column_misses, 1);
+  EXPECT_EQ(second.column_entries, 6u);
+  ExpectSameTable(shared,
+                  UnwrapOrDie(ComputeTableM(*universal_, question_, attrs)));
+
+  // Every cube of a repeated question is retained: no column is assembled.
+  TableM repeat =
+      UnwrapOrDie(ComputeTableM(*universal_, question_, attrs, options));
+  const CubeWorkspaceStats third = workspace.GetStats();
+  EXPECT_EQ(third.column_hits, second.column_hits);
+  EXPECT_EQ(third.column_misses, second.column_misses);
+  EXPECT_GT(third.cube_hits, second.cube_hits);
+  ExpectSameTable(repeat, shared);
+}
+
+TEST_F(CubeAlgorithmTest, ApexOriginalsMatchRowAtATime) {
+  // count(*) and count(distinct), each once with a filter no row passes.
+  const ColumnRef pubid = *db_.ResolveColumn("Publication.pubid");
+  const char* filters[] = {"Publication.venue = 'SIGMOD'",
+                           "Publication.venue = 'ICDE'"};
+  std::vector<AggregateQuery> subqueries;
+  for (const char* filter : filters) {
+    for (const AggregateSpec& agg :
+         {AggregateSpec::CountStar(), AggregateSpec::CountDistinct(pubid)}) {
+      AggregateQuery q;
+      q.name = "q" + std::to_string(subqueries.size() + 1);
+      q.agg = agg;
+      q.where = Pred(db_, filter);
+      subqueries.push_back(std::move(q));
+    }
+  }
+  ExprPtr expr = UnwrapOrDie(ParseExpression(
+      "(q1 + q2) / (q3 + q4 + 1)", {"q1", "q2", "q3", "q4"}));
+  UserQuestion question{
+      UnwrapOrDie(NumericalQuery::Create(std::move(subqueries), expr)),
+      Direction::kHigh};
+  const std::vector<double> expected =
+      question.query.EvaluateSubqueries(*universal_);
+  ASSERT_EQ(expected, (std::vector<double>{4.0, 2.0, 0.0, 0.0}));
+
+  CubeWorkspace workspace;
+  TableMOptions options;
+  options.workspace = &workspace;
+  for (const TableMOptions& run : {TableMOptions(), options, options}) {
+    TableM table =
+        UnwrapOrDie(ComputeTableM(*universal_, question, attrs_, run));
+    EXPECT_TRUE(table.build_stats.used_column_cache);
+    EXPECT_EQ(Bytes(table.original_values), Bytes(expected));
+    EXPECT_EQ(question.query.Combine(table.original_values),
+              question.query.EvaluateOnUniversal(*universal_));
+  }
+  EXPECT_GT(workspace.GetStats().cube_hits, 0);  // the third run's apexes
 }
 
 TEST_F(CubeAlgorithmTest, RejectsEmptyInputs) {

@@ -3,7 +3,8 @@
 // PlanRemap == fresh-Build identity on U(D), per-aggregate cube
 // maintenance through the engine (COUNT(*), COUNT DISTINCT, SUM over
 // int64, MIN extremum death), and the randomized incremental ≡ rebuild
-// equivalence property over random instances and a natality slice.
+// equivalence property (answers and Q(D)) over random instances and a
+// natality slice.
 
 #include <cstdint>
 #include <functional>
@@ -171,11 +172,19 @@ void ExpectIncrementalEqualsRebuild(Database db,
     reference.SemijoinReduce();
     ExplainEngine fresh = UnwrapOrDie(ExplainEngine::Create(&reference));
 
-    const std::string incremental =
-        Render(db, UnwrapOrDie(engine.Explain(question, attrs, options)));
-    const std::string rebuilt = Render(
-        reference, UnwrapOrDie(fresh.Explain(question, attrs, options)));
-    EXPECT_EQ(incremental, rebuilt) << "delta step " << step;
+    const ExplainReport incremental =
+        UnwrapOrDie(engine.Explain(question, attrs, options));
+    const ExplainReport rebuilt =
+        UnwrapOrDie(fresh.Explain(question, attrs, options));
+    EXPECT_EQ(Render(db, incremental), Render(reference, rebuilt))
+        << "delta step " << step;
+    // Q(D): the maintained apexes against a fresh row-at-a-time pass.
+    EXPECT_EQ(incremental.table.original_values,
+              question.query.EvaluateSubqueries(fresh.universal()))
+        << "delta step " << step;
+    EXPECT_EQ(incremental.original_value,
+              question.query.EvaluateOnUniversal(fresh.universal()))
+        << "delta step " << step;
   }
 }
 

@@ -1,7 +1,14 @@
 #include "core/engine.h"
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "datagen/natality.h"
 #include "gtest/gtest.h"
 #include "relational/parser.h"
+#include "server/protocol.h"
 #include "tests/test_util.h"
 
 namespace xplain {
@@ -175,6 +182,114 @@ TEST(EngineTest, NaivePathMatchesCubePath) {
                      naive.explanations[i].degree);
   }
   EXPECT_FALSE(naive.used_cube);
+}
+
+TEST(EngineTest, OriginalValueIsQofDOnBothPaths) {
+  Database db = BuildRunningExample();
+  ExplainEngine engine = UnwrapOrDie(ExplainEngine::Create(&db));
+  // count(*) and count(distinct), plus a filter that passes no row.
+  AggregateQuery q1, q2, q3;
+  q1.name = "q1";
+  q1.agg = AggregateSpec::CountStar();
+  q1.where = Pred(db, "Publication.venue = 'SIGMOD'");
+  q2.name = "q2";
+  q2.agg =
+      AggregateSpec::CountDistinct(*db.ResolveColumn("Publication.pubid"));
+  q2.where = Pred(db, "Author.dom = 'com'");
+  q3 = q2;
+  q3.name = "q3";
+  q3.where = Pred(db, "Publication.venue = 'ICDE'");
+  ExprPtr expr =
+      UnwrapOrDie(ParseExpression("q1 / q2 + q3", {"q1", "q2", "q3"}));
+  UserQuestion question{
+      UnwrapOrDie(NumericalQuery::Create({q1, q2, q3}, expr)),
+      Direction::kHigh};
+  const std::vector<double> expected =
+      question.query.EvaluateSubqueries(engine.universal());
+  ASSERT_EQ(expected, (std::vector<double>{4.0, 3.0, 0.0}));
+
+  ExplainOptions options;
+  options.degree = DegreeKind::kAggravation;
+  ExplainOptions naive_options = options;
+  naive_options.use_cube = false;
+  // Cold cube path, warm cube path (apexes from the workspace), naive.
+  for (const ExplainOptions& run : {options, options, naive_options}) {
+    ExplainReport report =
+        UnwrapOrDie(engine.Explain(question, {"Author.name"}, run));
+    EXPECT_EQ(report.table.original_values, expected);
+    EXPECT_EQ(report.original_value,
+              question.query.EvaluateOnUniversal(engine.universal()));
+  }
+}
+
+TEST(EngineTest, ConcurrentMissesOnOneColumnShareIt) {
+  datagen::NatalityOptions data;
+  data.num_rows = 3000;
+  data.seed = 5;
+  Database db = UnwrapOrDie(datagen::GenerateNatality(data));
+  const UserQuestion race = UnwrapOrDie(datagen::MakeNatalityQRace(db));
+  const UserQuestion marital =
+      UnwrapOrDie(datagen::MakeNatalityQMarital(db));
+  // Both questions need tobacco, marital, ap and race, none yet encoded.
+  const std::vector<std::string> race_attrs = {"tobacco", "marital"};
+  const std::vector<std::string> marital_attrs = {"tobacco", "race"};
+  ExplainOptions options;
+  options.num_threads = 2;
+
+  ExplainEngine engine = UnwrapOrDie(ExplainEngine::Create(&db));
+  std::string served[2];
+  std::atomic<int> ready{0};
+  auto run = [&](int slot, const UserQuestion& question,
+                 const std::vector<std::string>& attrs) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    served[slot] = server::ReportPayload(
+        db, UnwrapOrDie(engine.Explain(question, attrs, options)),
+        server::RequestOp::kExplain);
+  };
+  std::thread first(run, 0, std::cref(race), std::cref(race_attrs));
+  std::thread second(run, 1, std::cref(marital), std::cref(marital_attrs));
+  first.join();
+  second.join();
+
+  // tobacco, marital, ap, race: each retained once, whoever encoded it.
+  EXPECT_EQ(engine.workspace().GetStats().column_entries, 4u);
+  ExplainEngine fresh = UnwrapOrDie(ExplainEngine::Create(&db));
+  EXPECT_EQ(served[0], server::ReportPayload(
+                           db, UnwrapOrDie(fresh.Explain(race, race_attrs,
+                                                         options)),
+                           server::RequestOp::kExplain));
+  ExplainEngine fresh2 = UnwrapOrDie(ExplainEngine::Create(&db));
+  EXPECT_EQ(served[1], server::ReportPayload(
+                           db, UnwrapOrDie(fresh2.Explain(
+                                   marital, marital_attrs, options)),
+                           server::RequestOp::kExplain));
+}
+
+TEST(EngineTest, QueryStatsAttributeTheExplain) {
+  datagen::NatalityOptions data;
+  data.num_rows = 60000;
+  data.seed = 2010;
+  Database db = UnwrapOrDie(datagen::GenerateNatality(data));
+  ExplainEngine engine = UnwrapOrDie(ExplainEngine::Create(&db));
+  const UserQuestion question = UnwrapOrDie(datagen::MakeNatalityQRace(db));
+  ExplainOptions options;
+  options.collect_stats = true;
+  const ExplainReport report = UnwrapOrDie(engine.Explain(
+      question, {"marital", "tobacco", "education"}, options));
+  ASSERT_TRUE(report.stats_collected);
+  const QueryStats& s = report.stats;
+  EXPECT_GT(s.encode_ms, 0.0);  // a cold engine encodes its columns
+  EXPECT_LE(s.encode_ms, s.cube_build_ms);
+  const double phases = s.additivity_ms + s.originals_ms + s.cube_build_ms +
+                        s.merge_ms + s.degree_ms + s.topk_ms +
+                        s.exact_rescore_ms;
+  EXPECT_LE(s.total_ms - phases, 0.05 * s.total_ms) << s.ToString();
+  bool flat_has_encode = false;
+  for (const auto& [key, value] : s.ToFlat()) {
+    flat_has_encode = flat_has_encode || key == "encode_ms";
+  }
+  EXPECT_TRUE(flat_has_encode);
 }
 
 }  // namespace

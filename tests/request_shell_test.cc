@@ -8,6 +8,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,6 +235,15 @@ TEST_P(RequestShellTest, FlightHoldsOneRecordPerCountedOp) {
     const std::string response = shell->HandleLine(ExplainLine(id));
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
   }
+  // A worker resolves its response before it records the flight entry, so
+  // the synchronous DELTA could otherwise record ahead of the last EXPLAIN.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (shell->flight_recorder().Snapshot().total_recorded < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(shell->flight_recorder().Snapshot().total_recorded, 3u);
   const std::string delta = shell->HandleLine(NoopDeltaLine(4));
   EXPECT_NE(delta.find("\"ok\":true"), std::string::npos) << delta;
   // Meta ops and parse errors are not counted ops.
