@@ -226,7 +226,8 @@ int main(int argc, char** argv) {
     const double p50 = HistogramPercentile(hist, 50.0);
     const double p99 = HistogramPercentile(hist, 99.0);
     const double speedup = rps / k1_rps;
-    const std::string name = "k" + std::to_string(k);
+    std::string name = "k";
+    name += std::to_string(k);
     PrintRow({name, std::to_string(k), Fmt(wall_ms), Fmt(rps, 1),
               Fmt(p50, 0), Fmt(p99, 0), Fmt(speedup, 2)});
     json.AddStats(name, static_cast<int>(k), wall_ms,

@@ -10,6 +10,7 @@
 #include "datagen/natality.h"
 #include "relational/parser.h"
 #include "relational/storage.h"
+#include "server/protocol.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -278,33 +279,21 @@ Status RunAsk(const ParsedArgs& args, std::ostream& out) {
   }
   XPLAIN_ASSIGN_OR_RETURN(Database db, LoadDatabase(args.positional[0]));
 
-  std::vector<AggregateQuery> subqueries;
-  std::vector<std::string> names;
+  server::Request request;
   for (const std::string& spec : args.GetAll("subquery")) {
     std::vector<std::string> parts = Split(spec, '|');
     if (parts.size() != 3) {
       return Status::InvalidArgument(
           "--subquery must be \"name|aggregate|where\": " + spec);
     }
-    AggregateQuery q;
-    q.name = std::string(Trim(parts[0]));
-    XPLAIN_ASSIGN_OR_RETURN(q.agg, ParseAggregate(db, parts[1]));
-    XPLAIN_ASSIGN_OR_RETURN(q.where, ParseDnfPredicate(db, parts[2]));
-    names.push_back(q.name);
-    subqueries.push_back(std::move(q));
+    request.subqueries.push_back(
+        server::SubquerySpec{std::string(Trim(parts[0])), parts[1], parts[2]});
   }
-  XPLAIN_ASSIGN_OR_RETURN(ExprPtr expr,
-                          ParseExpression(args.Get("expr"), names));
-  UserQuestion question;
-  XPLAIN_ASSIGN_OR_RETURN(
-      question.query,
-      NumericalQuery::Create(std::move(subqueries), std::move(expr)));
-  std::string direction = ToLower(args.Get("direction", "high"));
-  if (direction == "high") {
-    question.direction = Direction::kHigh;
-  } else if (direction == "low") {
-    question.direction = Direction::kLow;
-  } else {
+  request.expr = args.Get("expr");
+  request.direction = ToLower(args.Get("direction", "high"));
+  XPLAIN_ASSIGN_OR_RETURN(UserQuestion question,
+                          server::BuildQuestion(db, request));
+  if (request.direction != "high" && request.direction != "low") {
     return Status::InvalidArgument("--direction must be high or low");
   }
 

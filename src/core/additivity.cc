@@ -1,5 +1,7 @@
 #include "core/additivity.h"
 
+#include <algorithm>
+
 namespace xplain {
 
 bool RelationIsUniqueCore(const UniversalRelation& universal, int relation) {
@@ -14,9 +16,23 @@ bool RelationIsUniqueCore(const UniversalRelation& universal, int relation) {
   return true;
 }
 
+std::vector<uint8_t> UniqueCoreBits(const UniversalRelation& universal) {
+  std::vector<uint8_t> bits(universal.db().num_relations());
+  for (size_t r = 0; r < bits.size(); ++r) {
+    bits[r] = RelationIsUniqueCore(universal, static_cast<int>(r)) ? 1 : 0;
+  }
+  return bits;
+}
+
 AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
                                           const AggregateSpec& agg) {
-  const Database& db = universal.db();
+  return CheckAggregateAdditivity(universal.db(), agg,
+                                  UniqueCoreBits(universal));
+}
+
+AdditivityReport CheckAggregateAdditivity(
+    const Database& db, const AggregateSpec& agg,
+    const std::vector<uint8_t>& unique_core) {
   const bool has_bf = db.HasBackAndForthKeys();
 
   if (agg.kind == AggregateKind::kCountStar) {
@@ -44,7 +60,7 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
     for (const ResolvedForeignKey& fk : db.resolved_foreign_keys()) {
       if (fk.kind != ForeignKeyKind::kBackAndForth) continue;
       if (fk.parent_relation != agg.column.relation) continue;
-      if (RelationIsUniqueCore(universal, fk.child_relation)) {
+      if (unique_core[fk.child_relation]) {
         return {true,
                 "count(distinct " + db.ColumnName(agg.column) +
                     ") with back-and-forth FK from unique core " +
@@ -56,7 +72,7 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
     }
     // Condition 3: no back-and-forth keys and the counted relation itself
     // is a unique core.
-    if (!has_bf && RelationIsUniqueCore(universal, agg.column.relation)) {
+    if (!has_bf && unique_core[agg.column.relation]) {
       return {true, "count(distinct " + db.ColumnName(agg.column) +
                         ") over a unique-core relation with no "
                         "back-and-forth foreign keys"};
@@ -71,8 +87,16 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
 
 AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
                                       const NumericalQuery& query) {
+  return CheckQueryAdditivity(universal.db(), query,
+                              UniqueCoreBits(universal));
+}
+
+AdditivityReport CheckQueryAdditivity(const Database& db,
+                                      const NumericalQuery& query,
+                                      const std::vector<uint8_t>& unique_core) {
   for (const AggregateQuery& q : query.subqueries()) {
-    AdditivityReport report = CheckAggregateAdditivity(universal, q.agg);
+    AdditivityReport report =
+        CheckAggregateAdditivity(db, q.agg, unique_core);
     if (!report.additive) {
       report.reason = (q.name.empty() ? "subquery" : q.name) + ": " +
                       report.reason;
@@ -82,24 +106,18 @@ AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
   return {true, "all subqueries intervention-additive"};
 }
 
-bool HasUniqueCore(const UniversalRelation& universal) {
-  for (int r = 0; r < universal.db().num_relations(); ++r) {
-    if (RelationIsUniqueCore(universal, r)) return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// Cell-exactness check for one subquery; assumes CheckAggregateAdditivity
 /// already succeeded for it.
-AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
-                                        const AggregateQuery& q) {
-  const Database& db = universal.db();
+AdditivityReport CheckSubqueryCellExact(
+    const Database& db, const AggregateQuery& q,
+    const std::vector<uint8_t>& unique_core) {
   if (q.agg.kind == AggregateKind::kCountStar) {
     // Exact iff Rule (i) is exact, i.e. a unique core exists; the WHERE is
     // then evaluated on exactly the rows that survive (Corollary 3.6).
-    if (HasUniqueCore(universal)) {
+    if (std::find(unique_core.begin(), unique_core.end(), 1) !=
+        unique_core.end()) {
       return {true, "count(*) with a unique-core relation"};
     }
     return {false,
@@ -113,8 +131,7 @@ AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
   bool via_bf_child = false;
   for (const ResolvedForeignKey& fk : db.resolved_foreign_keys()) {
     if (fk.kind == ForeignKeyKind::kBackAndForth &&
-        fk.parent_relation == counted &&
-        RelationIsUniqueCore(universal, fk.child_relation)) {
+        fk.parent_relation == counted && unique_core[fk.child_relation]) {
       via_bf_child = true;
       break;
     }
@@ -147,16 +164,19 @@ AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
 
 AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
                                      const NumericalQuery& query) {
-  return CheckCellAdditivity(universal, query,
-                             CheckQueryAdditivity(universal, query));
+  const std::vector<uint8_t> unique_core = UniqueCoreBits(universal);
+  return CheckCellAdditivity(
+      universal.db(), query,
+      CheckQueryAdditivity(universal.db(), query, unique_core), unique_core);
 }
 
-AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
+AdditivityReport CheckCellAdditivity(const Database& db,
                                      const NumericalQuery& query,
-                                     const AdditivityReport& query_report) {
+                                     const AdditivityReport& query_report,
+                                     const std::vector<uint8_t>& unique_core) {
   if (!query_report.additive) return query_report;
   for (const AggregateQuery& q : query.subqueries()) {
-    AdditivityReport report = CheckSubqueryCellExact(universal, q);
+    AdditivityReport report = CheckSubqueryCellExact(db, q, unique_core);
     if (!report.additive) return report;
   }
   return {true, "cube degrees are exact for every equality explanation"};

@@ -1,7 +1,9 @@
 #ifndef XPLAIN_CORE_ADDITIVITY_H_
 #define XPLAIN_CORE_ADDITIVITY_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "relational/aggregate.h"
 #include "relational/query.h"
@@ -29,12 +31,23 @@ struct AdditivityReport {
 ///     R_i itself appears in at most one universal row (then the distinct
 ///     count is a plain row count over a complement-additive set).
 ///
-/// The uniqueness conditions are verified against the data (one pass over
-/// U).
+/// The uniqueness conditions read `unique_core` = UniqueCoreBits(U), the
+/// per-relation bits ExplainEngine keeps current across deltas.
+AdditivityReport CheckAggregateAdditivity(
+    const Database& db, const AggregateSpec& agg,
+    const std::vector<uint8_t>& unique_core);
+
+/// As above, computing the unique-core bits from `universal` (one pass
+/// over U per relation).
 AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
                                           const AggregateSpec& agg);
 
 /// A numerical query is intervention-additive iff all its subqueries are.
+AdditivityReport CheckQueryAdditivity(const Database& db,
+                                      const NumericalQuery& query,
+                                      const std::vector<uint8_t>& unique_core);
+
+/// As above, computing the unique-core bits once from `universal`.
 AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
                                       const NumericalQuery& query);
 
@@ -49,24 +62,26 @@ AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
 /// e.g. Author.dom in the paper's DBLP queries, breaks exactness for
 /// multi-author papers: the pub is removed through one author's phi-row but
 /// q_j(D_phi) counts it only under the WHERE author's row).
+///
+/// This form computes the unique-core bits once from `universal`.
 AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
                                      const NumericalQuery& query);
 
-/// As above, reusing `query_report` = CheckQueryAdditivity(universal,
-/// query) instead of re-running that check, so one explain pays for the
-/// query-level check once.
-AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
+/// As above, reusing `query_report` = CheckQueryAdditivity(db, query,
+/// unique_core) and the caller's unique-core bits, so one explain pays for
+/// neither the query-level check nor a scan of U twice.
+AdditivityReport CheckCellAdditivity(const Database& db,
                                      const NumericalQuery& query,
-                                     const AdditivityReport& query_report);
-
-/// True if some relation of `universal` is a unique core (Rule (i) is then
-/// exact for every conjunctive explanation).
-bool HasUniqueCore(const UniversalRelation& universal);
+                                     const AdditivityReport& query_report,
+                                     const std::vector<uint8_t>& unique_core);
 
 /// True if every row of `relation` appears in at most one universal row
 /// (i.e. the relation functionally pins the universal tuple it occurs in —
 /// a "fact core").
 bool RelationIsUniqueCore(const UniversalRelation& universal, int relation);
+
+/// RelationIsUniqueCore for every relation, in relation order.
+std::vector<uint8_t> UniqueCoreBits(const UniversalRelation& universal);
 
 }  // namespace xplain
 

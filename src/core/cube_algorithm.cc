@@ -15,14 +15,13 @@ double MsSince(int64_t start_us) {
 
 /// Wraps a freshly computed cube for table M. When `workspace` is set and
 /// the aggregate is maintainable, the cube is offered for retention with
-/// its cell-liveness sidecar (COUNT(*) over the same filter and
-/// attributes); `count_cube` computes that sidecar for aggregates other
-/// than COUNT(*).
-template <typename CountCube>
+/// its cell-liveness sidecar: COUNT(*) over the same filter and
+/// attributes, computed here for aggregates other than COUNT(*).
 Result<std::shared_ptr<const DataCube>> KeepCube(
     const Database& db, CubeWorkspace* workspace, const AggregateQuery& q,
     const std::vector<ColumnRef>& attributes, DataCube cube,
-    const CountCube& count_cube) {
+    const ColumnCache& cache, const std::vector<int>& attr_indices,
+    const RowSet& filter_rows, const CubeOptions& options) {
   if (workspace == nullptr || !CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
     return std::make_shared<const DataCube>(std::move(cube));
   }
@@ -30,7 +29,10 @@ Result<std::shared_ptr<const DataCube>> KeepCube(
   if (q.agg.kind == AggregateKind::kCountStar) {
     counts = cube.cells();
   } else {
-    XPLAIN_ASSIGN_OR_RETURN(DataCube count_cells, count_cube());
+    XPLAIN_ASSIGN_OR_RETURN(
+        DataCube count_cells,
+        DataCube::Compute(cache, attr_indices, AggregateKind::kCountStar, -1,
+                          &filter_rows, options));
     counts = std::move(*count_cells.mutable_cells());
   }
   return workspace->InsertCube(db, q, attributes, std::move(cube),
@@ -60,38 +62,14 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   table.attributes = attributes;
   XPLAIN_TRACE_SPAN("tablem.compute");
 
-  // Counting subqueries take the columnar fast path: one set of
-  // dictionary-encoded columns shared by all m cubes, then code-vector
-  // group-bys, and u_j read off each cube's apex cell.
-  bool all_counting = options.use_column_cache;
-  for (const AggregateQuery& q : query.subqueries()) {
-    if (q.agg.kind != AggregateKind::kCountStar &&
-        q.agg.kind != AggregateKind::kCountDistinct) {
-      all_counting = false;
-    }
-  }
-  table.build_stats.used_column_cache = all_counting;
-  table.original_values.reserve(m);
-
-  // Step 1 (generic aggregates): u_j = q_j(D), row at a time. A floating
-  // SUM/AVG apex could differ from it in the last bit.
-  int64_t step_start_us = Trace::NowMicros();
-  if (!all_counting) {
-    XPLAIN_TRACE_SPAN("tablem.originals");
-    for (const AggregateQuery& q : query.subqueries()) {
-      Value v = EvaluateAggregate(universal, q.agg, &q.where);
-      table.original_values.push_back(v.is_null() ? 0.0 : v.AsNumeric());
-    }
-    table.build_stats.originals_ms = MsSince(step_start_us);
-  }
-
   // Step 2: the m cubes, each from the maintained workspace when it holds
-  // one (shared across calls) or computed fresh.
+  // one (shared across calls) or computed fresh over one set of
+  // dictionary-encoded columns shared by the cubes still to build.
   const Database& db = universal.db();
   CubeWorkspace* workspace = options.workspace;
   std::vector<std::shared_ptr<const DataCube>> cubes(m);
   std::vector<int> missed;
-  step_start_us = Trace::NowMicros();
+  int64_t step_start_us = Trace::NowMicros();
   TraceSpan cubes_span("tablem.cubes");
   for (int j = 0; j < m; ++j) {
     if (workspace != nullptr) {
@@ -99,10 +77,10 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
     }
     if (cubes[j] == nullptr) missed.push_back(j);
   }
-  if (all_counting && !missed.empty()) {
-    // Encode the grouping attributes plus every distinct-counted and filter
-    // column of the cubes still to build, so both the group-by and the
-    // WHERE clauses run on dictionary codes.
+  if (!missed.empty()) {
+    // Encode the grouping attributes plus every aggregated and filter
+    // column of the cubes still to build, so the group-by, the aggregate
+    // and the WHERE clauses all run on dictionary codes.
     std::vector<ColumnRef> cached_columns = attributes;
     auto add_column = [&cached_columns](const ColumnRef& column) {
       for (const ColumnRef& col : cached_columns) {
@@ -112,9 +90,7 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
     };
     for (int j : missed) {
       const AggregateQuery& q = query.subqueries()[j];
-      if (q.agg.kind == AggregateKind::kCountDistinct) {
-        add_column(q.agg.column);
-      }
+      if (q.agg.kind != AggregateKind::kCountStar) add_column(q.agg.column);
       for (const ConjunctivePredicate& disjunct : q.where.disjuncts()) {
         for (const AtomicPredicate& atom : disjunct.atoms()) {
           add_column(atom.column);
@@ -136,54 +112,34 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
       const AggregateQuery& q = query.subqueries()[j];
       XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
                               CodedFilter::Compile(cache, q.where));
-      RowSet filter_rows = filter.EvalAllRows(cache);
-      int distinct_index = q.agg.kind == AggregateKind::kCountDistinct
-                               ? cache.FindColumn(q.agg.column)
-                               : -1;
+      const RowSet filter_rows = filter.EvalAllRows(cache);
+      const int measure_index = q.agg.kind == AggregateKind::kCountStar
+                                    ? -1
+                                    : cache.FindColumn(q.agg.column);
       XPLAIN_ASSIGN_OR_RETURN(
           DataCube cube,
-          DataCube::ComputeCached(cache, attr_indices, q.agg.kind,
-                                  distinct_index, &filter_rows,
-                                  options.cube));
+          DataCube::Compute(cache, attr_indices, q.agg.kind, measure_index,
+                            &filter_rows, options.cube));
       XPLAIN_ASSIGN_OR_RETURN(
           cubes[j], KeepCube(db, workspace, q, attributes, std::move(cube),
-                             [&] {
-                               return DataCube::ComputeCached(
-                                   cache, attr_indices,
-                                   AggregateKind::kCountStar, -1,
-                                   &filter_rows, options.cube);
-                             }));
-    }
-  } else {
-    for (int j : missed) {
-      const AggregateQuery& q = query.subqueries()[j];
-      XPLAIN_ASSIGN_OR_RETURN(
-          DataCube cube, DataCube::Compute(universal, attributes, q.agg,
-                                           &q.where, options.cube));
-      XPLAIN_ASSIGN_OR_RETURN(
-          cubes[j], KeepCube(db, workspace, q, attributes, std::move(cube),
-                             [&] {
-                               return DataCube::Compute(
-                                   universal, attributes,
-                                   AggregateSpec::CountStar(), &q.where,
-                                   options.cube);
-                             }));
+                             cache, attr_indices, filter_rows, options.cube));
     }
   }
   cubes_span.End();
   table.build_stats.cube_build_ms = MsSince(step_start_us);
 
-  // Step 1 (counting subqueries): u_j is the apex (all-ALL) cell, which
-  // maintained cubes keep patched under deltas. A filter that passes no
-  // row leaves no apex, which reads 0 like the row-at-a-time count.
-  if (all_counting) {
-    step_start_us = Trace::NowMicros();
+  // Step 1: u_j = q_j(D) is the apex (all-ALL) cell, which maintained
+  // cubes keep patched under deltas. A filter that passes no row leaves no
+  // apex, which reads 0 like the row-at-a-time aggregate.
+  step_start_us = Trace::NowMicros();
+  {
     XPLAIN_TRACE_SPAN("tablem.apex");
+    table.original_values.reserve(m);
     for (const auto& cube : cubes) {
       table.original_values.push_back(cube->GrandTotal());
     }
-    table.build_stats.originals_ms = MsSince(step_start_us);
   }
+  table.build_stats.originals_ms = MsSince(step_start_us);
 
   // Step 3: full outer join, then the shared assemble step (support
   // pruning + degree columns) that the cluster coordinator reuses over

@@ -17,11 +17,9 @@ namespace xplain {
 /// copies it into QueryStats when ExplainOptions::collect_stats is set.
 /// Thread-safety: plain data, externally synchronized.
 struct TableMStats {
-  /// Step 1: u_j = q_j(D) — the cube apex cells on the columnar path, a
-  /// row-at-a-time evaluation otherwise.
+  /// Step 1: u_j = q_j(D), read off the m cube apex cells.
   double originals_ms = 0.0;
-  /// Step 2: building the m data cubes (columnar or generic path),
-  /// including encode_ms.
+  /// Step 2: building the m data cubes, including encode_ms.
   double cube_build_ms = 0.0;
   /// The part of cube_build_ms spent assembling the dictionary-encoded
   /// columns (encoding the ones no earlier question retained).
@@ -34,8 +32,6 @@ struct TableMStats {
   size_t rows_before_support = 0;
   /// Rows of the final table M.
   size_t rows = 0;
-  /// True when the dictionary-encoded columnar cube path was taken.
-  bool used_column_cache = false;
 };
 
 /// The materialized table M of Algorithm 1: one row per candidate
@@ -83,10 +79,6 @@ struct TableMOptions {
   /// Keep only rows where at least one v_j reaches this support (the paper
   /// used 1000 on natality). 0 keeps everything.
   double min_support = 0.0;
-  /// Use the dictionary-encoded columnar fast path when every subquery is
-  /// COUNT(*) or COUNT(DISTINCT) (bit-identical results; see
-  /// bench_ablation_cube for the speedup).
-  bool use_column_cache = true;
   /// Optional store of incrementally-maintained cubes and encoded columns
   /// shared across calls (DESIGN.md §10). When set, per-subquery cubes are
   /// looked up first, columns are assembled only for the cubes that

@@ -101,11 +101,7 @@ Result<ExplainEngine> ExplainEngine::Create(const Database* db) {
   engine.intervention_ =
       std::make_unique<InterventionEngine>(engine.universal_.get());
   engine.workspace_ = std::make_unique<CubeWorkspace>();
-  engine.unique_core_.resize(db->num_relations());
-  for (int r = 0; r < db->num_relations(); ++r) {
-    engine.unique_core_[r] =
-        RelationIsUniqueCore(*engine.universal_, r) ? 1 : 0;
-  }
+  engine.unique_core_ = UniqueCoreBits(*engine.universal_);
   return engine;
 }
 
@@ -178,9 +174,10 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
         "per-cube supports to merge)");
   }
   PartialExplainReport report;
-  report.additivity = CheckQueryAdditivity(*universal_, question.query);
-  report.cell_additivity =
-      CheckCellAdditivity(*universal_, question.query, report.additivity);
+  report.additivity =
+      CheckQueryAdditivity(*db_, question.query, unique_core_);
+  report.cell_additivity = CheckCellAdditivity(
+      *db_, question.query, report.additivity, unique_core_);
   const int num_threads = options.num_threads == 0
                               ? ThreadPool::DefaultNumThreads()
                               : options.num_threads;
@@ -280,9 +277,10 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
   const int64_t additivity_start_us = Trace::NowMicros();
   {
     XPLAIN_TRACE_SPAN("engine.additivity");
-    report.additivity = CheckQueryAdditivity(*universal_, question.query);
-    report.cell_additivity =
-        CheckCellAdditivity(*universal_, question.query, report.additivity);
+    report.additivity =
+        CheckQueryAdditivity(*db_, question.query, unique_core_);
+    report.cell_additivity = CheckCellAdditivity(
+        *db_, question.query, report.additivity, unique_core_);
   }
   report.stats.additivity_ms = PhaseMs(additivity_start_us);
   report.used_cube = options.use_cube;

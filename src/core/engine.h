@@ -73,8 +73,8 @@ struct QueryStats {
   double semijoin_ms = 0.0;
   /// The query- and cell-level additivity checks.
   double additivity_ms = 0.0;
-  /// Q(D)'s subquery values u_j (TableMStats::originals_ms): the cube
-  /// apex cells for counting questions, a row-at-a-time pass otherwise.
+  /// Q(D)'s subquery values u_j (TableMStats::originals_ms), read off
+  /// the cube apex cells on the cube path.
   double originals_ms = 0.0;
   /// Building the m data cubes (TableMStats::cube_build_ms), encode_ms
   /// included.

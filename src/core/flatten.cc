@@ -109,7 +109,8 @@ Result<FlattenResult> FlattenBackAndForth(const Database& db, int fanout) {
   };
 
   for (int copy = 1; copy <= fanout; ++copy) {
-    const std::string suffix = "_" + std::to_string(copy);
+    std::string suffix = "_";
+    suffix += std::to_string(copy);
 
     // Which C rows occupy slot `copy`?
     std::vector<size_t> slot_rows;
@@ -215,7 +216,8 @@ Result<FlattenResult> FlattenBackAndForth(const Database& db, int fanout) {
 
   // Foreign keys: C_i -> A_i and P'.kad_i -> C_i.kad_i, all standard.
   for (int copy = 1; copy <= fanout; ++copy) {
-    const std::string suffix = "_" + std::to_string(copy);
+    std::string suffix = "_";
+    suffix += std::to_string(copy);
     ForeignKey c_to_a;
     c_to_a.child_relation = c_rel.name() + suffix;
     c_to_a.parent_relation = a_rel.name() + suffix;

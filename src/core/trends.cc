@@ -34,7 +34,8 @@ Result<UserQuestion> MakeSlopeQuestion(const Database& db,
   std::vector<double> midpoints;
   for (size_t i = 0; i < m; ++i) {
     AggregateQuery q;
-    q.name = "q" + std::to_string(i + 1);
+    q.name = "q";
+    q.name += std::to_string(i + 1);
     q.agg = spec.agg;
     std::vector<AtomicPredicate> window_atoms;
     window_atoms.push_back(AtomicPredicate{spec.time_column, CompareOp::kGe,

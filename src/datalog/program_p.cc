@@ -30,7 +30,9 @@ class VariableAssigner {
   }
 
   std::string VariableFor(int relation, int attribute) {
-    return "v" + std::to_string(Find(Id(relation, attribute)));
+    std::string name = "v";
+    name += std::to_string(Find(Id(relation, attribute)));
+    return name;
   }
 
   /// The full variable vector x_i of relation i.

@@ -32,11 +32,11 @@ struct EncodedColumn {
 /// A columnar, dictionary-encoded view of selected universal-relation
 /// columns, in request order.
 ///
-/// The row-at-a-time cube evaluation hashes Tuples of Values per input row;
-/// for the multi-cube Algorithm 1 this dominates the runtime. The cache
-/// holds each needed column as a dense uint32 code array plus a per-column
-/// dictionary, after which group-by keys are cheap integer vectors. (The
-/// same columnar trick backs the ablation benchmark bench_ablation_cube.)
+/// The only input of the cube kernel (DataCube::Compute): the cache holds
+/// each needed column — grouping attributes, the aggregated column, filter
+/// columns — as a dense uint32 code array plus a per-column dictionary, so
+/// group-by keys are packed integers and WHERE clauses are code lookups
+/// instead of Value hashing per input row.
 ///
 /// Thread-safety: safe for concurrent const access — the encoded columns
 /// it shares are immutable while any request holds them.

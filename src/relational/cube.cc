@@ -1,133 +1,13 @@
 #include "relational/cube.h"
 
 #include <algorithm>
+#include <cmath>
+#include <unordered_set>
 
 #include "util/metrics.h"
 #include "util/trace.h"
 
 namespace xplain {
-
-Result<DataCube> DataCube::Compute(const UniversalRelation& universal,
-                                   const std::vector<ColumnRef>& attributes,
-                                   const AggregateSpec& agg,
-                                   const DnfPredicate* filter,
-                                   const CubeOptions& options) {
-  XPLAIN_TRACE_SPAN("cube.compute");
-  const int d = static_cast<int>(attributes.size());
-  if (d == 0) {
-    return Status::InvalidArgument("cube needs at least one attribute");
-  }
-  if (d > options.max_attributes) {
-    return Status::InvalidArgument(
-        "cube over " + std::to_string(d) + " attributes exceeds the cap of " +
-        std::to_string(options.max_attributes));
-  }
-
-  // Phase 1: full group-by into base cells. With a pool, the input rows
-  // are partitioned into contiguous per-shard ranges aggregated into
-  // thread-local maps; the merge is exact because every accumulator kind
-  // is mergeable (count/sum add, min/max compare, distinct sets union) —
-  // the same cell-additivity that justifies the cube degrees in §4.
-  const bool needs_column = agg.kind != AggregateKind::kCountStar;
-  using BaseMap =
-      std::unordered_map<Tuple, AggregateAccumulator, TupleHash, TupleEq>;
-  const size_t n = universal.NumRows();
-  ThreadPool* pool = options.pool;
-  const int shards = pool == nullptr ? 1 : std::max(pool->num_threads(), 1);
-  std::vector<BaseMap> base_locals(static_cast<size_t>(shards));
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      pool, n, [&](int shard, size_t begin, size_t end) -> Status {
-        XPLAIN_TRACE_SPAN("cube.base_shard");
-        BaseMap& local = base_locals[static_cast<size_t>(shard)];
-        Tuple coords(d);
-        for (size_t u = begin; u < end; ++u) {
-          if (filter != nullptr && !filter->EvalUniversal(universal, u)) {
-            continue;
-          }
-          for (int i = 0; i < d; ++i) {
-            coords[i] = universal.ValueAt(u, attributes[i]);
-            if (coords[i].is_null()) {
-              // A data NULL would be indistinguishable from the lattice's
-              // don't-care marker (SQL's GROUPING() ambiguity); the paper's
-              // candidate attributes are recoded non-NULL categories.
-              return Status::InvalidArgument(
-                  "cube attribute " +
-                  universal.db().ColumnName(attributes[i]) +
-                  " contains NULL; recode NULLs before cubing");
-            }
-          }
-          auto it = local.find(coords);
-          if (it == local.end()) {
-            it = local.emplace(coords, AggregateAccumulator(agg.kind)).first;
-          }
-          it->second.Add(needs_column ? universal.ValueAt(u, agg.column)
-                                      : Value::Null());
-        }
-        return Status::OK();
-      }));
-  // Merge in shard order so the combined map is reproducible for a fixed
-  // thread count.
-  TraceSpan base_merge_span("cube.base_merge");
-  BaseMap base = std::move(base_locals[0]);
-  for (size_t s = 1; s < base_locals.size(); ++s) {
-    for (auto& [coords, acc] : base_locals[s]) {
-      auto it = base.find(coords);
-      if (it == base.end()) {
-        base.emplace(std::move(coords), std::move(acc));
-      } else {
-        it->second.Merge(acc);
-      }
-    }
-  }
-  base_merge_span.set_arg(static_cast<int64_t>(base.size()));
-  base_merge_span.End();
-  XPLAIN_COUNTER_ADD("cube.base_cells", static_cast<int64_t>(base.size()));
-
-  // Phase 2: roll every base cell up through the 2^d lattice. Sharding is
-  // by mask: two distinct masks null out different attribute subsets, so
-  // the cells they produce can never collide and each shard owns a
-  // disjoint slice of the output lattice (no merge needed).
-  const uint32_t num_masks = 1u << d;
-  using RolledMap = BaseMap;
-  std::vector<RolledMap> rolled_locals(static_cast<size_t>(shards));
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      pool, num_masks, [&](int shard, size_t mask_begin, size_t mask_end) {
-        XPLAIN_TRACE_SPAN("cube.rollup_shard");
-        RolledMap& rolled = rolled_locals[static_cast<size_t>(shard)];
-        rolled.reserve(base.size());
-        for (const auto& [full_coords, acc] : base) {
-          for (size_t mask = mask_begin; mask < mask_end; ++mask) {
-            Tuple cell(d);
-            for (int i = 0; i < d; ++i) {
-              cell[i] =
-                  (mask & (1u << i)) ? full_coords[i] : Value::Null();
-            }
-            auto it = rolled.find(cell);
-            if (it == rolled.end()) {
-              it = rolled
-                       .emplace(std::move(cell),
-                                AggregateAccumulator(agg.kind))
-                       .first;
-            }
-            it->second.Merge(acc);
-          }
-        }
-        return Status::OK();
-      }));
-
-  DataCube cube;
-  cube.attributes_ = attributes;
-  size_t total_cells = 0;
-  for (const RolledMap& rolled : rolled_locals) total_cells += rolled.size();
-  cube.cells_.reserve(total_cells);
-  for (const RolledMap& rolled : rolled_locals) {
-    for (const auto& [cell, acc] : rolled) {
-      cube.cells_.emplace(cell, acc.FinishNumeric());
-    }
-  }
-  XPLAIN_COUNTER_ADD("cube.cells", static_cast<int64_t>(total_cells));
-  return cube;
-}
 
 namespace {
 
@@ -142,111 +22,132 @@ struct CodeVecHash {
 };
 
 /// Count / count-distinct accumulator over dictionary codes.
-struct FastAccumulator {
+struct CountAccumulator {
   int64_t count = 0;
   std::unordered_set<uint32_t> distinct;
 
-  void Merge(const FastAccumulator& other) {
+  void Merge(const CountAccumulator& other) {
     count += other.count;
     distinct.insert(other.distinct.begin(), other.distinct.end());
   }
 };
 
-}  // namespace
+/// Value::Compare's order on doubles (NaN sorts last), so MIN/MAX pick
+/// what AggregateAccumulator picks.
+bool Before(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
 
-Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
-                                         const std::vector<int>& attr_indices,
-                                         AggregateKind kind,
-                                         int distinct_index,
-                                         const RowSet* filter_rows,
-                                         const CubeOptions& options) {
-  XPLAIN_TRACE_SPAN("cube.compute_cached");
-  const int d = static_cast<int>(attr_indices.size());
-  if (d == 0) {
-    return Status::InvalidArgument("cube needs at least one attribute");
+/// SUM/AVG/MIN/MAX accumulator over the non-NULL measured values.
+struct NumericAccumulator {
+  int64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  void Add(double v) {
+    sum += v;
+    if (count == 0 || Before(v, min)) min = v;
+    if (count == 0 || Before(max, v)) max = v;
+    ++count;
   }
-  if (d > options.max_attributes) {
-    return Status::InvalidArgument("cube attribute cap exceeded");
+
+  void Merge(const NumericAccumulator& other) {
+    sum += other.sum;
+    if (other.count == 0) return;
+    if (count == 0 || Before(other.min, min)) min = other.min;
+    if (count == 0 || Before(max, other.max)) max = other.max;
+    count += other.count;
   }
-  const bool is_distinct = kind == AggregateKind::kCountDistinct;
-  if (kind != AggregateKind::kCountStar && !is_distinct) {
-    return Status::InvalidArgument(
-        "ComputeCached supports count(*) and count(distinct) only");
-  }
-  if (is_distinct &&
-      (distinct_index < 0 || distinct_index >= cache.num_columns())) {
-    return Status::InvalidArgument("counted column is not in the cache");
-  }
-  for (int idx : attr_indices) {
-    if (idx < 0 || idx >= cache.num_columns()) {
-      return Status::InvalidArgument("grouping column is not in the cache");
+
+  /// AggregateAccumulator::FinishNumeric: a cell with no non-NULL input
+  /// reads 0.
+  double Finish(AggregateKind kind) const {
+    if (count == 0) return 0.0;
+    switch (kind) {
+      case AggregateKind::kAvg:
+        return sum / static_cast<double>(count);
+      case AggregateKind::kMin:
+        return min;
+      case AggregateKind::kMax:
+        return max;
+      default:
+        return sum;
     }
   }
+};
 
-  // Per-attribute bit widths; code dict_size is reserved as the "ALL"
-  // marker for the rollup, so widths cover dict_size + 1 values. When the
-  // packed key fits in 64 bits the group-by runs allocation-free on uint64
-  // keys; otherwise fall back to code vectors.
+/// Two-phase cube over dictionary codes, generic in the accumulator:
+/// `add_input(Acc*, row)` folds one filter-passing row into its base cell
+/// and `finish(const Acc&)` yields the cell value.
+template <typename Acc, typename AddInput, typename Finish>
+Result<DataCube::CellMap> CodedCubeCells(const ColumnCache& cache,
+                                         const std::vector<int>& attr_indices,
+                                         const RowSet* filter_rows,
+                                         ThreadPool* pool,
+                                         const AddInput& add_input,
+                                         const Finish& finish) {
+  const int d = static_cast<int>(attr_indices.size());
+  // Flag the dictionary codes that decode to NULL. Only base cells are
+  // checked against them: a NULL that no filter-passing row carries (or
+  // that a retained dictionary keeps for a deleted row) is harmless.
+  std::vector<std::vector<uint8_t>> null_code(d);
+  bool any_null = false;
   for (int i = 0; i < d; ++i) {
-    for (size_t code = 0; code < cache.DictionarySize(attr_indices[i]);
-         ++code) {
+    const size_t dict = cache.DictionarySize(attr_indices[i]);
+    null_code[i].assign(dict, 0);
+    for (size_t code = 0; code < dict; ++code) {
       if (cache.Decode(attr_indices[i], static_cast<uint32_t>(code))
               .is_null()) {
-        return Status::InvalidArgument(
-            "cube attribute contains NULL; recode NULLs before cubing");
+        null_code[i][code] = 1;
+        any_null = true;
       }
     }
   }
+  auto null_error = [&](int i) {
+    // A data NULL would be indistinguishable from the lattice's don't-care
+    // marker (SQL's GROUPING() ambiguity); the paper's candidate
+    // attributes are recoded non-NULL categories.
+    return Status::InvalidArgument(
+        "cube attribute " +
+        cache.universal().db().ColumnName(cache.columns()[attr_indices[i]]) +
+        " contains NULL; recode NULLs before cubing");
+  };
+
+  // Per-attribute bit fields; code dict_size is reserved as the "ALL"
+  // marker for the rollup, so a field covers dict_size + 1 values. When
+  // the packed key fits in 64 bits the group-by runs allocation-free on
+  // uint64 keys; otherwise fall back to code vectors.
   std::vector<int> shifts(d, 0);
-  int total_bits = 0;
+  std::vector<uint64_t> field(d, 0);
   std::vector<uint32_t> all_codes(d);
+  int total_bits = 0;
   for (int i = 0; i < d; ++i) {
-    uint64_t distinct_plus_all = cache.DictionarySize(attr_indices[i]) + 1;
-    int bits = 1;
-    while ((uint64_t{1} << bits) < distinct_plus_all) ++bits;
-    shifts[i] = total_bits;
-    total_bits += bits;
     all_codes[i] =
         static_cast<uint32_t>(cache.DictionarySize(attr_indices[i]));
+    int bits = 1;
+    while ((uint64_t{1} << bits) < uint64_t{all_codes[i]} + 1) ++bits;
+    shifts[i] = total_bits;
+    field[i] = (uint64_t{1} << bits) - 1;
+    total_bits += bits;
   }
   const size_t n = cache.NumRows();
   const uint32_t num_masks = 1u << d;
-
-  DataCube cube;
-  cube.attributes_.reserve(d);
-  for (int idx : attr_indices) {
-    cube.attributes_.push_back(cache.columns()[idx]);
-  }
-
-  auto add_input = [&](FastAccumulator* acc, size_t u) {
-    if (is_distinct) {
-      uint32_t code = cache.Code(u, distinct_index);
-      if (!cache.Decode(distinct_index, code).is_null()) {
-        acc->distinct.insert(code);
-      }
-    } else {
-      ++acc->count;
-    }
-  };
-  auto finish = [&](const FastAccumulator& acc) {
-    return is_distinct ? static_cast<double>(acc.distinct.size())
-                       : static_cast<double>(acc.count);
-  };
+  DataCube::CellMap cells;
 
   if (total_bits <= 64) {
-    // Fast path: packed uint64 keys. Parallel scheme mirrors Compute():
-    // phase 1 shards the row scan into thread-local maps (merge is exact —
-    // counts add, distinct code sets union), phase 2 shards the rollup by
+    // Phase 1 shards the row scan into thread-local maps (the merge is
+    // exact: every accumulator is mergeable, the same cell-additivity that
+    // justifies the cube degrees in §4); phase 2 shards the rollup by
     // mask, which yields disjoint output cells because the reserved ALL
     // code marks exactly the masked-out attribute fields.
-    ThreadPool* pool = options.pool;
     const int shards =
         pool == nullptr ? 1 : std::max(pool->num_threads(), 1);
-    using BaseMap = std::unordered_map<uint64_t, FastAccumulator>;
+    using BaseMap = std::unordered_map<uint64_t, Acc>;
     std::vector<BaseMap> base_locals(static_cast<size_t>(shards));
     XPLAIN_RETURN_IF_ERROR(ParallelShards(
         pool, n, [&](int shard, size_t begin, size_t end) {
-          XPLAIN_TRACE_SPAN("cube.cached_base_shard");
+          XPLAIN_TRACE_SPAN("cube.base_shard");
           BaseMap& local = base_locals[static_cast<size_t>(shard)];
           for (size_t u = begin; u < end; ++u) {
             if (filter_rows != nullptr && !filter_rows->Test(u)) continue;
@@ -259,28 +160,32 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
           }
           return Status::OK();
         }));
-    TraceSpan cached_merge_span("cube.cached_base_merge");
+    // Merge in shard order so the combined map is reproducible for a
+    // fixed thread count.
+    TraceSpan base_merge_span("cube.base_merge");
     BaseMap base = std::move(base_locals[0]);
     for (size_t s = 1; s < base_locals.size(); ++s) {
       for (const auto& [key, acc] : base_locals[s]) base[key].Merge(acc);
     }
-    cached_merge_span.set_arg(static_cast<int64_t>(base.size()));
-    cached_merge_span.End();
-    XPLAIN_COUNTER_ADD("cube.cached_base_cells",
-                       static_cast<int64_t>(base.size()));
+    base_merge_span.set_arg(static_cast<int64_t>(base.size()));
+    base_merge_span.End();
+    XPLAIN_COUNTER_ADD("cube.base_cells", static_cast<int64_t>(base.size()));
+    if (any_null) {
+      for (const auto& [key, acc] : base) {
+        for (int i = 0; i < d; ++i) {
+          if (null_code[i][(key >> shifts[i]) & field[i]]) {
+            return null_error(i);
+          }
+        }
+      }
+    }
 
     // Precompute, per mask, the bits to clear and the ALL pattern to set.
     std::vector<uint64_t> clear_bits(num_masks, 0), set_all(num_masks, 0);
     for (uint32_t mask = 0; mask < num_masks; ++mask) {
       for (int i = 0; i < d; ++i) {
         if (!(mask & (1u << i))) {
-          uint64_t next_shift =
-              (i + 1 < d) ? static_cast<uint64_t>(shifts[i + 1]) : 64;
-          uint64_t field = next_shift >= 64
-                               ? ~uint64_t{0} << shifts[i]
-                               : ((uint64_t{1} << next_shift) - 1) ^
-                                     ((uint64_t{1} << shifts[i]) - 1);
-          clear_bits[mask] |= field;
+          clear_bits[mask] |= field[i] << shifts[i];
           set_all[mask] |= static_cast<uint64_t>(all_codes[i]) << shifts[i];
         }
       }
@@ -288,7 +193,7 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
     std::vector<BaseMap> rolled_locals(static_cast<size_t>(shards));
     XPLAIN_RETURN_IF_ERROR(ParallelShards(
         pool, num_masks, [&](int shard, size_t mask_begin, size_t mask_end) {
-          XPLAIN_TRACE_SPAN("cube.cached_rollup_shard");
+          XPLAIN_TRACE_SPAN("cube.rollup_shard");
           BaseMap& rolled = rolled_locals[static_cast<size_t>(shard)];
           rolled.reserve(base.size());
           for (const auto& [full_key, acc] : base) {
@@ -302,36 +207,29 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
         }));
     size_t total_cells = 0;
     for (const BaseMap& rolled : rolled_locals) total_cells += rolled.size();
-    cube.cells_.reserve(total_cells);
+    cells.reserve(total_cells);
     for (const BaseMap& rolled : rolled_locals) {
       for (const auto& [cell_key, acc] : rolled) {
         Tuple cell(d);
         for (int i = 0; i < d; ++i) {
-          uint64_t next_shift =
-              (i + 1 < d) ? static_cast<uint64_t>(shifts[i + 1]) : 64;
-          uint64_t width = next_shift - shifts[i];
-          uint64_t mask_bits =
-              width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-          uint32_t code =
-              static_cast<uint32_t>((cell_key >> shifts[i]) & mask_bits);
+          const uint32_t code =
+              static_cast<uint32_t>((cell_key >> shifts[i]) & field[i]);
           cell[i] = code == all_codes[i]
                         ? Value::Null()
                         : cache.Decode(attr_indices[i], code);
         }
-        cube.cells_.emplace(std::move(cell), finish(acc));
+        cells.emplace(std::move(cell), finish(acc));
       }
     }
-    XPLAIN_COUNTER_ADD("cube.cached_cells",
-                       static_cast<int64_t>(cube.cells_.size()));
-    return cube;
+    XPLAIN_COUNTER_ADD("cube.cells", static_cast<int64_t>(cells.size()));
+    return cells;
   }
 
   // General path: code-vector keys (> 64 bits of packed codes; only hit
   // far beyond the paper's workloads). Kept sequential: the packed path
   // above is the hot one, and a pool here would complicate the overflow
   // fallback for no measured benefit.
-  std::unordered_map<std::vector<uint32_t>, FastAccumulator, CodeVecHash>
-      base;
+  std::unordered_map<std::vector<uint32_t>, Acc, CodeVecHash> base;
   std::vector<uint32_t> key(d);
   for (size_t u = 0; u < n; ++u) {
     if (filter_rows != nullptr && !filter_rows->Test(u)) continue;
@@ -340,9 +238,15 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
     }
     add_input(&base[key], u);
   }
+  if (any_null) {
+    for (const auto& [codes, acc] : base) {
+      for (int i = 0; i < d; ++i) {
+        if (null_code[i][codes[i]]) return null_error(i);
+      }
+    }
+  }
   constexpr uint32_t kNoValue = 0xffffffffu;
-  std::unordered_map<std::vector<uint32_t>, FastAccumulator, CodeVecHash>
-      rolled;
+  std::unordered_map<std::vector<uint32_t>, Acc, CodeVecHash> rolled;
   rolled.reserve(base.size() * 2);
   for (const auto& [full_key, acc] : base) {
     for (uint32_t mask = 0; mask < num_masks; ++mask) {
@@ -353,7 +257,7 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
       rolled[std::move(cell)].Merge(acc);
     }
   }
-  cube.cells_.reserve(rolled.size());
+  cells.reserve(rolled.size());
   for (const auto& [cell_codes, acc] : rolled) {
     Tuple cell(d);
     for (int i = 0; i < d; ++i) {
@@ -361,8 +265,95 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
                     ? Value::Null()
                     : cache.Decode(attr_indices[i], cell_codes[i]);
     }
-    cube.cells_.emplace(std::move(cell), finish(acc));
+    cells.emplace(std::move(cell), finish(acc));
   }
+  return cells;
+}
+
+}  // namespace
+
+Result<DataCube> DataCube::Compute(const ColumnCache& cache,
+                                   const std::vector<int>& attr_indices,
+                                   AggregateKind kind, int measure_index,
+                                   const RowSet* filter_rows,
+                                   const CubeOptions& options) {
+  XPLAIN_TRACE_SPAN("cube.compute");
+  const int d = static_cast<int>(attr_indices.size());
+  if (d == 0) {
+    return Status::InvalidArgument("cube needs at least one attribute");
+  }
+  if (d > options.max_attributes) {
+    return Status::InvalidArgument(
+        "cube over " + std::to_string(d) + " attributes exceeds the cap of " +
+        std::to_string(options.max_attributes));
+  }
+  for (int idx : attr_indices) {
+    if (idx < 0 || idx >= cache.num_columns()) {
+      return Status::InvalidArgument("grouping column is not in the cache");
+    }
+  }
+  if (kind != AggregateKind::kCountStar &&
+      (measure_index < 0 || measure_index >= cache.num_columns())) {
+    return Status::InvalidArgument("aggregated column is not in the cache");
+  }
+
+  DataCube cube;
+  cube.attributes_.reserve(d);
+  for (int idx : attr_indices) {
+    cube.attributes_.push_back(cache.columns()[idx]);
+  }
+  if (kind == AggregateKind::kCountStar ||
+      kind == AggregateKind::kCountDistinct) {
+    const bool is_distinct = kind == AggregateKind::kCountDistinct;
+    XPLAIN_ASSIGN_OR_RETURN(
+        cube.cells_,
+        CodedCubeCells<CountAccumulator>(
+            cache, attr_indices, filter_rows, options.pool,
+            [&](CountAccumulator* acc, size_t u) {
+              if (is_distinct) {
+                uint32_t code = cache.Code(u, measure_index);
+                if (!cache.Decode(measure_index, code).is_null()) {
+                  acc->distinct.insert(code);
+                }
+              } else {
+                ++acc->count;
+              }
+            },
+            [&](const CountAccumulator& acc) {
+              return is_distinct ? static_cast<double>(acc.distinct.size())
+                                 : static_cast<double>(acc.count);
+            }));
+    return cube;
+  }
+
+  // SUM/AVG/MIN/MAX: decode the measured column's dictionary once per cube
+  // into a double and a NULL flag per code (O(dictionary), not O(rows)).
+  const size_t dict = cache.DictionarySize(measure_index);
+  std::vector<double> measure(dict, 0.0);
+  std::vector<uint8_t> measure_null(dict, 0);
+  for (size_t code = 0; code < dict; ++code) {
+    const Value& v = cache.Decode(measure_index, static_cast<uint32_t>(code));
+    if (v.is_null()) {
+      measure_null[code] = 1;
+    } else if (IsNumeric(v.type())) {
+      measure[code] = v.AsNumeric();
+    } else {
+      return Status::InvalidArgument(
+          std::string(AggregateKindToString(kind)) +
+          " needs a numeric column, got " +
+          cache.universal().db().ColumnName(
+              cache.columns()[measure_index]));
+    }
+  }
+  XPLAIN_ASSIGN_OR_RETURN(
+      cube.cells_,
+      CodedCubeCells<NumericAccumulator>(
+          cache, attr_indices, filter_rows, options.pool,
+          [&](NumericAccumulator* acc, size_t u) {
+            const uint32_t code = cache.Code(u, measure_index);
+            if (!measure_null[code]) acc->Add(measure[code]);
+          },
+          [&](const NumericAccumulator& acc) { return acc.Finish(kind); }));
   return cube;
 }
 

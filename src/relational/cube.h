@@ -31,34 +31,28 @@ struct CubeOptions {
 ///
 /// A cell coordinate assigns each cube attribute either a concrete value or
 /// NULL meaning ALL ("don't care"). The all-NULL cell holds the grand total.
-/// Computation is two-phase: (1) group input rows into base cells keyed by
-/// the full attribute tuple; (2) roll every base cell up into all 2^d
-/// ancestor cells of the lattice. COUNT(DISTINCT) rolls up its value sets,
-/// so it is exact (not sum-based). Both phases shard across
-/// CubeOptions::pool when one is supplied (see DESIGN.md §6 for the
-/// determinism guarantee).
+/// Computation is two-phase over dictionary codes: (1) group the filter-
+/// passing rows into base cells keyed by the packed attribute codes; (2)
+/// roll every base cell up into all 2^d ancestor cells of the lattice.
+/// COUNT(DISTINCT) rolls up its code sets, so it is exact (not sum-based).
+/// Both phases shard across CubeOptions::pool when one is supplied (see
+/// DESIGN.md §6 for the determinism guarantee).
 ///
 /// Thread-safety: a computed DataCube is immutable; all const accessors
 /// are safe to call concurrently.
 class DataCube {
  public:
-  /// Computes the cube of `agg` over the rows of `universal` satisfying
-  /// `filter` (nullptr = all rows), grouped by `attributes`.
-  [[nodiscard]] static Result<DataCube> Compute(const UniversalRelation& universal,
-                                  const std::vector<ColumnRef>& attributes,
-                                  const AggregateSpec& agg,
-                                  const DnfPredicate* filter,
-                                  const CubeOptions& options = CubeOptions());
-
-  /// Columnar fast path over a ColumnCache: group-by keys are dictionary
-  /// codes instead of Value tuples and the filter is a precomputed bitmap.
-  /// Supports COUNT(*) and COUNT(DISTINCT col) where both the grouping
-  /// attributes and the counted column are cached; produces bit-identical
-  /// cells to Compute(). `attr_indices` are cache column positions;
-  /// `distinct_index` is the cached counted column (-1 for COUNT(*)).
-  [[nodiscard]] static Result<DataCube> ComputeCached(
+  /// Computes the cube of `kind` over the rows of `cache` set in
+  /// `filter_rows` (nullptr = all rows), grouped by the cache columns
+  /// `attr_indices`. `measure_index` is the cache column the aggregate
+  /// reads (-1 for COUNT(*)); SUM/AVG/MIN/MAX need a numeric one. Cell
+  /// values follow AggregateAccumulator: NULL inputs are skipped, and a
+  /// cell whose measured values are all NULL is present with value 0. A
+  /// filter-passing row with a NULL grouping attribute is
+  /// kInvalidArgument (it would collide with the ALL marker).
+  [[nodiscard]] static Result<DataCube> Compute(
       const ColumnCache& cache, const std::vector<int>& attr_indices,
-      AggregateKind kind, int distinct_index, const RowSet* filter_rows,
+      AggregateKind kind, int measure_index, const RowSet* filter_rows,
       const CubeOptions& options = CubeOptions());
 
   /// Rewraps an existing cell map as a DataCube without recomputation —

@@ -296,7 +296,8 @@ std::string Database::ToString(size_t max_rows_per_relation) const {
     out += "\n  " + fk.ToString();
   }
   for (const Relation& r : relations_) {
-    out += "\n" + r.ToString(max_rows_per_relation);
+    out += '\n';
+    out += r.ToString(max_rows_per_relation);
   }
   return out;
 }

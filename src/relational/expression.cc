@@ -113,9 +113,12 @@ std::string Expression::ToString() const {
       os << constant_;
       return os.str();
     }
-    case Kind::kVariable:
-      return var_name_.empty() ? ("q" + std::to_string(var_index_ + 1))
-                               : var_name_;
+    case Kind::kVariable: {
+      if (!var_name_.empty()) return var_name_;
+      std::string name = "q";
+      name += std::to_string(var_index_ + 1);
+      return name;
+    }
     case Kind::kUnary: {
       const char* name = "";
       switch (unary_op_) {
@@ -155,7 +158,12 @@ std::string Expression::ToString() const {
           op = " ^ ";
           break;
       }
-      return "(" + lhs_->ToString() + op + rhs_->ToString() + ")";
+      std::string out = "(";
+      out += lhs_->ToString();
+      out += op;
+      out += rhs_->ToString();
+      out += ')';
+      return out;
     }
   }
   return "?";

@@ -175,7 +175,8 @@ Result<std::string> ParseColumnName(Cursor* cur) {
       return Status::ParseError("expected attribute name after '" + name +
                                 ".'");
     }
-    name += "." + cur->Next().text;
+    name += '.';
+    name += cur->Next().text;
   }
   return name;
 }

@@ -440,6 +440,13 @@ Result<UserQuestion> BuildQuestion(const Database& db,
     AggregateQuery q;
     q.name = spec.name;
     XPLAIN_ASSIGN_OR_RETURN(q.agg, ParseAggregate(db, spec.agg));
+    if (q.agg.kind != AggregateKind::kCountStar &&
+        q.agg.kind != AggregateKind::kCountDistinct &&
+        !IsNumeric(db.ColumnType(q.agg.column))) {
+      return Status::InvalidArgument(
+          q.agg.ToString(db) + " needs a numeric column: a question's " +
+          "subquery values are combined arithmetically");
+    }
     XPLAIN_ASSIGN_OR_RETURN(q.where, ParseDnfPredicate(db, spec.where));
     names.push_back(q.name);
     subqueries.push_back(std::move(q));

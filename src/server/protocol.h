@@ -137,7 +137,11 @@ uint64_t ExtractRequestId(const std::string& line);
 
 /// Resolves the request's question texts against `db` using
 /// relational/parser (aggregates, DNF predicates, the combining
-/// expression).
+/// expression). Every question is built here — by xplaind, the cluster
+/// coordinator and its shards, and the CLI's `ask` — so this is where a
+/// MIN/MAX over a non-numeric column is rejected (kInvalidArgument): the
+/// subquery values feed arithmetic, while a plain `query` may still ask
+/// for the largest string.
 [[nodiscard]] Result<UserQuestion> BuildQuestion(const Database& db,
                                                  const Request& request);
 

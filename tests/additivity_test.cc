@@ -88,12 +88,18 @@ TEST(AdditivityTest, QueryAdditivityAggregatesSubqueries) {
   EXPECT_NE(report.reason.find("q2"), std::string::npos);
 }
 
-// The cell check given the query-level report (one query check per
-// explain) must say exactly what the self-contained cell check says.
-TEST(AdditivityTest, CellCheckReusesQueryReport) {
+// The checks that read passed-in unique-core bits (what ExplainEngine
+// keeps current) and reuse the query-level report must say exactly what
+// the self-contained checks over U say.
+TEST(AdditivityTest, CellCheckReusesQueryReportAndUniqueCoreBits) {
   for (const bool all_standard : {false, true}) {
     Database db = BuildRunningExample(all_standard);
     UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
+    const std::vector<uint8_t> bits = UniqueCoreBits(u);
+    ASSERT_EQ(bits.size(), static_cast<size_t>(db.num_relations()));
+    for (int r = 0; r < db.num_relations(); ++r) {
+      EXPECT_EQ(bits[r] != 0, RelationIsUniqueCore(u, r)) << r;
+    }
     const ColumnRef pubid = *db.ResolveColumn("Publication.pubid");
     const ColumnRef year = *db.ResolveColumn("Publication.year");
     const AggregateSpec aggs[] = {
@@ -103,6 +109,13 @@ TEST(AdditivityTest, CellCheckReusesQueryReport) {
                              "Author.dom = 'com'"};
     ExprPtr expr = UnwrapOrDie(ParseExpression("q1 / q2", {"q1", "q2"}));
     size_t compared = 0;
+    for (const AggregateSpec& agg : aggs) {
+      const AdditivityReport alone = CheckAggregateAdditivity(u, agg);
+      const AdditivityReport with_bits =
+          CheckAggregateAdditivity(db, agg, bits);
+      EXPECT_EQ(alone.additive, with_bits.additive);
+      EXPECT_EQ(alone.reason, with_bits.reason);
+    }
     for (const AggregateSpec& agg1 : aggs) {
       for (const AggregateSpec& agg2 : aggs) {
         for (const char* filter : filters) {
@@ -114,9 +127,14 @@ TEST(AdditivityTest, CellCheckReusesQueryReport) {
           if (*filter != '\0') q2.where = Pred(db, filter);
           NumericalQuery query =
               UnwrapOrDie(NumericalQuery::Create({q1, q2}, expr));
+          const AdditivityReport query_alone = CheckQueryAdditivity(u, query);
+          const AdditivityReport query_bits =
+              CheckQueryAdditivity(db, query, bits);
+          EXPECT_EQ(query_alone.additive, query_bits.additive);
+          EXPECT_EQ(query_alone.reason, query_bits.reason);
           const AdditivityReport alone = CheckCellAdditivity(u, query);
-          const AdditivityReport reused = CheckCellAdditivity(
-              u, query, CheckQueryAdditivity(u, query));
+          const AdditivityReport reused =
+              CheckCellAdditivity(db, query, query_bits, bits);
           EXPECT_EQ(alone.additive, reused.additive) << alone.reason;
           EXPECT_EQ(alone.reason, reused.reason);
           ++compared;

@@ -145,6 +145,26 @@ TEST_F(CliTest, ErrorPaths) {
        "--attrs", "Author.name"},
       1);
   Run({"query", dir_, "--agg"}, 1);                  // flag without value
+  Run({"ask", dir_, "--subquery", "q1|count(*)|", "--expr", "q1", "--attrs",
+       "Author.name", "--direction", "sideways"},
+      1);
+}
+
+TEST_F(CliTest, NonNumericMinMaxQueriesButDoesNotAsk) {
+  Run({"gen", "running-example", dir_}, 0);
+  // A plain query may ask for the largest string ...
+  const std::string largest =
+      Run({"query", dir_, "--agg", "max(Author.name)"}, 0);
+  EXPECT_NE(largest.find("max(Author.name) = RR"), std::string::npos)
+      << largest;
+  // ... but a question combines its subqueries arithmetically, so `ask`
+  // refuses it with a status instead of aborting.
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::RunCli({"ask", dir_, "--subquery", "q1|max(Author.name)|",
+                         "--expr", "q1", "--attrs", "Author.inst"},
+                        out, err),
+            1);
+  EXPECT_NE(err.str().find("numeric"), std::string::npos) << err.str();
 }
 
 }  // namespace

@@ -195,14 +195,19 @@ TEST_F(CubeAlgorithmTest, WorkspaceEncodesEachColumnOnce) {
 }
 
 TEST_F(CubeAlgorithmTest, ApexOriginalsMatchRowAtATime) {
-  // count(*) and count(distinct), each once with a filter no row passes.
+  // Every aggregate kind, each once with a filter no row passes (no apex:
+  // reads 0 like the row-at-a-time aggregate).
   const ColumnRef pubid = *db_.ResolveColumn("Publication.pubid");
+  const ColumnRef year = *db_.ResolveColumn("Publication.year");
   const char* filters[] = {"Publication.venue = 'SIGMOD'",
                            "Publication.venue = 'ICDE'"};
   std::vector<AggregateQuery> subqueries;
   for (const char* filter : filters) {
     for (const AggregateSpec& agg :
-         {AggregateSpec::CountStar(), AggregateSpec::CountDistinct(pubid)}) {
+         {AggregateSpec::CountStar(), AggregateSpec::CountDistinct(pubid),
+          AggregateSpec::Sum(year), AggregateSpec{AggregateKind::kAvg, year},
+          AggregateSpec{AggregateKind::kMin, year},
+          AggregateSpec{AggregateKind::kMax, year}}) {
       AggregateQuery q;
       q.name = "q" + std::to_string(subqueries.size() + 1);
       q.agg = agg;
@@ -210,14 +215,21 @@ TEST_F(CubeAlgorithmTest, ApexOriginalsMatchRowAtATime) {
       subqueries.push_back(std::move(q));
     }
   }
-  ExprPtr expr = UnwrapOrDie(ParseExpression(
-      "(q1 + q2) / (q3 + q4 + 1)", {"q1", "q2", "q3", "q4"}));
+  std::vector<std::string> names;
+  std::string sum;
+  for (const AggregateQuery& q : subqueries) {
+    names.push_back(q.name);
+    sum += (sum.empty() ? "" : " + ") + q.name;
+  }
+  ExprPtr expr = UnwrapOrDie(ParseExpression(sum, names));
   UserQuestion question{
       UnwrapOrDie(NumericalQuery::Create(std::move(subqueries), expr)),
       Direction::kHigh};
   const std::vector<double> expected =
       question.query.EvaluateSubqueries(*universal_);
-  ASSERT_EQ(expected, (std::vector<double>{4.0, 2.0, 0.0, 0.0}));
+  ASSERT_EQ(expected, (std::vector<double>{4.0, 2.0, 8004.0, 2001.0, 2001.0,
+                                           2001.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                           0.0}));
 
   CubeWorkspace workspace;
   TableMOptions options;
@@ -225,7 +237,6 @@ TEST_F(CubeAlgorithmTest, ApexOriginalsMatchRowAtATime) {
   for (const TableMOptions& run : {TableMOptions(), options, options}) {
     TableM table =
         UnwrapOrDie(ComputeTableM(*universal_, question, attrs_, run));
-    EXPECT_TRUE(table.build_stats.used_column_cache);
     EXPECT_EQ(Bytes(table.original_values), Bytes(expected));
     EXPECT_EQ(question.query.Combine(table.original_values),
               question.query.EvaluateOnUniversal(*universal_));

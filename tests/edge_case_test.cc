@@ -12,6 +12,7 @@ namespace xplain {
 namespace {
 
 using ::xplain::testing::BuildRunningExample;
+using ::xplain::testing::ComputeCube;
 using ::xplain::testing::Pred;
 using ::xplain::testing::UnwrapOrDie;
 
@@ -44,24 +45,80 @@ TEST(EdgeCaseTest, NullValuesNeverSatisfyPredicates) {
 
 TEST(EdgeCaseTest, CubeRejectsNullGroupingAttributes) {
   // A data NULL in a grouping attribute would be indistinguishable from
-  // the lattice's don't-care marker (SQL's GROUPING() ambiguity), so both
-  // cube paths reject it up front.
+  // the lattice's don't-care marker (SQL's GROUPING() ambiguity), so the
+  // cube rejects it when a filter-passing row carries one.
   Database db = BuildNullHeavyDb();
   UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
   ColumnRef v = *db.ResolveColumn("T.v");
-  auto generic = DataCube::Compute(u, {v}, AggregateSpec::CountStar(),
-                                   nullptr);
-  EXPECT_EQ(generic.status().code(), StatusCode::kInvalidArgument);
   ColumnCache cache = ColumnCache::Build(u, {v});
-  RowSet rows = EvaluateFilterBitmap(u, nullptr);
-  auto cached = DataCube::ComputeCached(cache, {0},
-                                        AggregateKind::kCountStar, -1, &rows);
-  EXPECT_EQ(cached.status().code(), StatusCode::kInvalidArgument);
-  // Filtering the NULLs away first makes the cube legal.
-  DnfPredicate present = Pred(db, "T.v = 'present'");
-  DataCube ok = UnwrapOrDie(
-      DataCube::Compute(u, {v}, AggregateSpec::CountStar(), &present));
-  EXPECT_DOUBLE_EQ(ok.CellValue({Value::Str("present")}), 1);
+  RowSet all_rows = EvaluateFilterBitmap(u, nullptr);
+  auto unfiltered = DataCube::Compute(cache, {0}, AggregateKind::kCountStar,
+                                      -1, &all_rows);
+  EXPECT_EQ(unfiltered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unfiltered.status().message().find("T.v"), std::string::npos)
+      << unfiltered.status().ToString();
+  // Filtering the NULLs away first makes the cube legal, although the
+  // dictionary still holds the NULL the dropped rows carry.
+  for (const char* filter : {"T.v = 'present'", "T.v <> 'zzz'"}) {
+    DnfPredicate pred = Pred(db, filter);
+    RowSet rows = EvaluateFilterBitmap(u, &pred);
+    DataCube ok = UnwrapOrDie(DataCube::Compute(
+        cache, {0}, AggregateKind::kCountStar, -1, &rows));
+    EXPECT_EQ(ok.NumCells(), 2u) << filter;
+    EXPECT_DOUBLE_EQ(ok.CellValue({Value::Str("present")}), 1) << filter;
+  }
+}
+
+TEST(EdgeCaseTest, FilteredNullGroupAnswersEveryAggregateLikeNaive) {
+  // T(k, v, w) with one NULL v: a question whose filter drops that row
+  // groups by T.v for count(*) as well as for sum/max.
+  auto schema = RelationSchema::Create(
+      "T",
+      {{"k", DataType::kInt64}, {"v", DataType::kString},
+       {"w", DataType::kInt64}},
+      {"k"});
+  Relation t(std::move(*schema));
+  const char* vs[] = {"a", "b", nullptr, "a", "c", "b"};
+  for (int i = 0; i < 6; ++i) {
+    t.AppendUnchecked({Value::Int(i),
+                       vs[i] == nullptr ? Value::Null() : Value::Str(vs[i]),
+                       Value::Int(10 * i + 1)});
+  }
+  Database db;
+  XPLAIN_CHECK(db.AddRelation(std::move(t)).ok());
+  ExplainEngine engine = UnwrapOrDie(ExplainEngine::Create(&db));
+  for (const char* agg : {"count(*)", "sum(T.w)", "max(T.w)"}) {
+    SCOPED_TRACE(agg);
+    AggregateQuery q1;
+    q1.name = "q1";
+    q1.agg = UnwrapOrDie(ParseAggregate(db, agg));
+    q1.where = Pred(db, "T.v <> 'zzz'");
+    ExprPtr expr = UnwrapOrDie(ParseExpression("q1", {"q1"}));
+    UserQuestion question{UnwrapOrDie(NumericalQuery::Create({q1}, expr)),
+                          Direction::kHigh};
+    ExplainOptions options;
+    options.degree = DegreeKind::kAggravation;
+    options.num_threads = 1;
+    ExplainReport cube =
+        UnwrapOrDie(engine.Explain(question, {"T.v"}, options));
+    options.use_cube = false;
+    ExplainReport naive =
+        UnwrapOrDie(engine.Explain(question, {"T.v"}, options));
+    EXPECT_EQ(cube.original_value, naive.original_value);
+    ASSERT_EQ(naive.table.NumRows(), 4u);  // a, b, c, ALL
+    for (size_t row = 0; row < naive.table.NumRows(); ++row) {
+      const int64_t cube_row = cube.table.FindRow(naive.table.coords[row]);
+      ASSERT_GE(cube_row, 0) << TupleToString(naive.table.coords[row]);
+      EXPECT_EQ(cube.table.subquery_values[0][cube_row],
+                naive.table.subquery_values[0][row]);
+    }
+    ASSERT_EQ(cube.explanations.size(), naive.explanations.size());
+    for (size_t i = 0; i < cube.explanations.size(); ++i) {
+      EXPECT_EQ(cube.explanations[i].degree, naive.explanations[i].degree);
+      EXPECT_EQ(cube.explanations[i].explanation.ToString(db),
+                naive.explanations[i].explanation.ToString(db));
+    }
+  }
 }
 
 TEST(EdgeCaseTest, InterventionOnNullColumnPredicate) {
@@ -101,7 +158,7 @@ TEST(EdgeCaseTest, EmptyRelationUniversal) {
       EvaluateAggregate(u, AggregateSpec::CountStar(), nullptr).AsNumeric(),
       0);
   // A cube over an empty input has only absent cells.
-  DataCube cube = UnwrapOrDie(DataCube::Compute(
+  DataCube cube = UnwrapOrDie(ComputeCube(
       u, {ColumnRef{0, 0}}, AggregateSpec::CountStar(), nullptr));
   EXPECT_EQ(cube.NumCells(), 0u);
   EXPECT_DOUBLE_EQ(cube.GrandTotal(), 0.0);

@@ -86,13 +86,19 @@ TEST(ExplainCacheTest, ShardCountRoundsUpToPowerOfTwo) {
   options.max_bytes = 4096;
   ExplainCache cache(options);
   // Keys land on different shards but behave like one logical cache.
+  // (Appending, not "key" + std::to_string(i): GCC 12 at -O3 flags the
+  // latter with a false -Wrestrict.)
+  auto numbered = [](std::string prefix, int i) {
+    prefix += std::to_string(i);
+    return prefix;
+  };
   for (int i = 0; i < 32; ++i) {
-    cache.Insert("key" + std::to_string(i), "v" + std::to_string(i));
+    cache.Insert(numbered("key", i), numbered("v", i));
   }
   for (int i = 0; i < 32; ++i) {
-    auto hit = cache.Lookup("key" + std::to_string(i));
+    auto hit = cache.Lookup(numbered("key", i));
     ASSERT_TRUE(hit.has_value()) << i;
-    EXPECT_EQ(*hit, "v" + std::to_string(i));
+    EXPECT_EQ(*hit, numbered("v", i));
   }
   EXPECT_EQ(cache.GetStats().entries, 32);
 }
@@ -147,10 +153,21 @@ TEST(ExplainCacheTest, StressShardStatsStayConsistent) {
   auto key_for = [](int i) {
     // "k0000".."k0199": uniform 5-byte keys.
     std::string n = std::to_string(i % kKeySpace);
-    return "k" + std::string(4 - n.size(), '0') + n;
+    std::string key = "k";
+    key.append(4 - n.size(), '0');
+    key += n;
+    return key;
   };
   const int64_t entry_bytes =
       static_cast<int64_t>(key_for(0).size() + payload.size());
+  // Thread 0 invalidates on every 16th op of its first half only. In its
+  // second half it alone inserts 150 distinct keys, more than the four
+  // 1 KB shards hold together (35 entries each), so some shard must evict
+  // whatever the interleaving. Invalidating throughout let thread 0, when
+  // it ran last, wipe the cache before any shard filled: no eviction.
+  auto invalidates = [](int t, int i) {
+    return t == 0 && i < kOpsPerThread / 2 && (t * 7 + i) % 16 == 15;
+  };
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -160,7 +177,7 @@ TEST(ExplainCacheTest, StressShardStatsStayConsistent) {
         const int op = (t * 7 + i) % 16;
         if (op < 6) {
           cache.Insert(key_for(t * 31 + i), payload);
-        } else if (op == 15 && t == 0) {
+        } else if (invalidates(t, i)) {
           cache.InvalidateAll();
         } else {
           (void)cache.Lookup(key_for(i));
@@ -181,7 +198,7 @@ TEST(ExplainCacheTest, StressShardStatsStayConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kOpsPerThread; ++i) {
       const int op = (t * 7 + i) % 16;
-      if (op >= 6 && !(op == 15 && t == 0)) ++lookups;
+      if (op >= 6 && !invalidates(t, i)) ++lookups;
     }
   }
   EXPECT_EQ(stats.hits + stats.misses, lookups);

@@ -135,7 +135,9 @@ TEST(FlightRecorderTest, DumpPayloadIsParsableAndComplete) {
   FlightRecorder recorder(8, 50);
   recorder.Record(MakeRecord(7, 10));
   recorder.Record(MakeRecord(8, 200));  // slow
-  const std::string payload = "{" + recorder.DumpPayload() + "}";
+  std::string payload = "{";
+  payload += recorder.DumpPayload();
+  payload += '}';
   auto root = JsonValue::Parse(payload);
   ASSERT_TRUE(root.ok()) << root.status().ToString() << "\n" << payload;
   EXPECT_TRUE(root->GetBool("ok", false));

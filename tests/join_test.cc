@@ -46,12 +46,22 @@ TEST(HashJoinTest, CompositeKeys) {
   EXPECT_EQ(pairs[0], (std::pair<size_t, size_t>{0, 0}));
 }
 
-TEST(HashJoinTest, NullKeysNeverJoin) {
+/// N(k, v) = {(NULL, 0), (1, 1)}: one row whose join key is NULL.
+Relation NullKeyRelation() {
   auto schema = RelationSchema::Create(
       "N", {{"k", DataType::kInt64}, {"v", DataType::kInt64}}, {"v"});
-  Relation left(std::move(*schema));
-  left.AppendUnchecked({Value::Null(), Value::Int(0)});
-  left.AppendUnchecked({Value::Int(1), Value::Int(1)});
+  Relation rel(std::move(*schema));
+  for (int64_t v : {0, 1}) {
+    Tuple row(2);
+    if (v == 1) row[0] = Value::Int(1);
+    row[1] = Value::Int(v);
+    rel.AppendUnchecked(std::move(row));
+  }
+  return rel;
+}
+
+TEST(HashJoinTest, NullKeysNeverJoin) {
+  Relation left = NullKeyRelation();
   Relation right = MakeRel("R", {{1, 0}});
   auto pairs = HashJoin(left, right, JoinKeys{{0}, {0}});
   ASSERT_EQ(pairs.size(), 1u);
@@ -91,11 +101,7 @@ TEST(SortMergeJoinTest, DuplicateGroupsCrossProduct) {
 }
 
 TEST(SortMergeJoinTest, NullKeysSkipped) {
-  auto schema = RelationSchema::Create(
-      "N", {{"k", DataType::kInt64}, {"v", DataType::kInt64}}, {"v"});
-  Relation left(std::move(*schema));
-  left.AppendUnchecked({Value::Null(), Value::Int(0)});
-  left.AppendUnchecked({Value::Int(1), Value::Int(1)});
+  Relation left = NullKeyRelation();
   Relation right = MakeRel("R", {{1, 0}});
   auto merge = SortMergeJoin(left, right, JoinKeys{{0}, {0}});
   ASSERT_EQ(merge.size(), 1u);

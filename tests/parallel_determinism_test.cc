@@ -13,6 +13,7 @@
 #include "core/engine.h"
 #include "core/topk.h"
 #include "datagen/dblp.h"
+#include "relational/parser.h"
 #include "relational/universal.h"
 #include "util/thread_pool.h"
 
@@ -105,22 +106,37 @@ TEST_F(ParallelDeterminismTest, TableMMatchesSequentialAcrossPoolSizes) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, TableMMatchesOnGenericCubePath) {
-  // The non-columnar (generic Value-tuple) cube shards differently from
-  // the packed fast path; both must stay deterministic.
-  TableMOptions sequential_options;
-  sequential_options.use_column_cache = false;
-  auto sequential = ComputeTableM(engine_->universal(), *question_, Attrs(),
-                                  sequential_options);
+TEST_F(ParallelDeterminismTest, NumericTableMMatchesSequentialAcrossPoolSizes) {
+  // SUM/AVG/MIN/MAX run on the same coded kernel as the counts, through
+  // their own accumulator; integer sums are exact, so sharding cannot move
+  // a bit.
+  const std::pair<std::string, std::string> specs[] = {
+      {"q1", "sum(Publication.year)"}, {"q2", "avg(Publication.year)"},
+      {"q3", "min(Publication.year)"}, {"q4", "max(Publication.year)"}};
+  std::vector<AggregateQuery> subqueries;
+  for (const auto& [name, agg] : specs) {
+    auto spec = ParseAggregate(*db_, agg);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    subqueries.push_back(AggregateQuery{name, *spec});
+  }
+  auto expr = ParseExpression("(q1 - q2) / (q4 - q3 + 1)",
+                              {"q1", "q2", "q3", "q4"});
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  auto query = NumericalQuery::Create(std::move(subqueries), *expr);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const UserQuestion question{std::move(query).ValueOrDie(), Direction::kHigh};
+  auto sequential =
+      ComputeTableM(engine_->universal(), question, Attrs(), TableMOptions());
   ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  ThreadPool pool(4);
-  TableMOptions options;
-  options.use_column_cache = false;
-  options.cube.pool = &pool;
-  auto parallel =
-      ComputeTableM(engine_->universal(), *question_, Attrs(), options);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectBitIdentical(sequential.ValueOrDie(), parallel.ValueOrDie());
+  for (int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    TableMOptions options;
+    options.cube.pool = &pool;
+    auto parallel =
+        ComputeTableM(engine_->universal(), question, Attrs(), options);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectBitIdentical(sequential.ValueOrDie(), parallel.ValueOrDie());
+  }
 }
 
 TEST_F(ParallelDeterminismTest, TopKMatchesSequentialForEveryStrategy) {

@@ -242,7 +242,11 @@ TEST_P(PropertyTest, CubeDegreesMatchExactWhenAdditive) {
   }
 }
 
-// The cube evaluation and the naive enumeration agree cell-by-cell.
+// The cube evaluation and the naive enumeration agree cell-by-cell for
+// every aggregate kind over an int64 column, with a WHERE filter on one
+// subquery: u_j and v_j are equal exactly (integer sums are exact in any
+// order), every naive row is a cube row, and every cube row with a
+// nonzero value is a naive row (naive drops the all-zero cells).
 TEST_P(PropertyTest, CubeMatchesNaive) {
   if (GetParam().schema == DbTemplate::kChain) {
     GTEST_SKIP() << "covered by the fact-core templates";
@@ -250,20 +254,58 @@ TEST_P(PropertyTest, CubeMatchesNaive) {
   const bool star = GetParam().schema == DbTemplate::kStarFact;
   Database db = MakeDb(9);
   UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
-  UserQuestion question = MakeCountQuestion(db, star);
   std::vector<ColumnRef> attrs;
   if (star) {
     attrs = {*db.ResolveColumn("DimA.va"), *db.ResolveColumn("DimB.vb")};
   } else {
     attrs = {*db.ResolveColumn("A.va"), *db.ResolveColumn("P.vp")};
   }
-  TableM cube = UnwrapOrDie(ComputeTableM(u, question, attrs));
-  TableM naive = UnwrapOrDie(ComputeTableMNaive(u, question, attrs));
-  for (size_t row = 0; row < naive.NumRows(); ++row) {
-    int64_t cube_row = cube.FindRow(naive.coords[row]);
-    ASSERT_GE(cube_row, 0);
-    EXPECT_DOUBLE_EQ(cube.mu_interv[cube_row], naive.mu_interv[row]);
-    EXPECT_DOUBLE_EQ(cube.mu_aggr[cube_row], naive.mu_aggr[row]);
+  const ColumnRef measure = *db.ResolveColumn(star ? "F.vf" : "A.id");
+  const ColumnRef counted = *db.ResolveColumn(star ? "F.b" : "P.pid");
+  const ConjunctivePredicate filter({AtomicPredicate{
+      *db.ResolveColumn(star ? "DimA.va" : "P.vp"), CompareOp::kEq,
+      Value::Int(0)}});
+  const AggregateSpec aggs[] = {
+      AggregateSpec::CountStar(),
+      AggregateSpec::CountDistinct(counted),
+      AggregateSpec::Sum(measure),
+      AggregateSpec{AggregateKind::kAvg, measure},
+      AggregateSpec{AggregateKind::kMin, measure},
+      AggregateSpec{AggregateKind::kMax, measure}};
+  ExprPtr expr = UnwrapOrDie(ParseExpression("q1 / (q2 + 1)", {"q1", "q2"}));
+  for (const AggregateSpec& agg : aggs) {
+    SCOPED_TRACE(agg.ToString(db));
+    AggregateQuery q1, q2;
+    q1.name = "q1";
+    q1.agg = agg;
+    q1.where = filter;
+    q2.name = "q2";
+    q2.agg = agg;
+    const UserQuestion question{
+        UnwrapOrDie(NumericalQuery::Create({q1, q2}, expr)),
+        Direction::kHigh};
+    TableM cube = UnwrapOrDie(ComputeTableM(u, question, attrs));
+    TableM naive = UnwrapOrDie(ComputeTableMNaive(u, question, attrs));
+    EXPECT_EQ(cube.original_values, naive.original_values);
+    for (size_t row = 0; row < naive.NumRows(); ++row) {
+      const int64_t cube_row = cube.FindRow(naive.coords[row]);
+      ASSERT_GE(cube_row, 0) << TupleToString(naive.coords[row]);
+      for (size_t j = 0; j < 2; ++j) {
+        EXPECT_EQ(cube.subquery_values[j][cube_row],
+                  naive.subquery_values[j][row])
+            << TupleToString(naive.coords[row]) << " q" << j + 1;
+      }
+      EXPECT_EQ(cube.mu_interv[cube_row], naive.mu_interv[row]);
+      EXPECT_EQ(cube.mu_aggr[cube_row], naive.mu_aggr[row]);
+    }
+    for (size_t row = 0; row < cube.NumRows(); ++row) {
+      if (cube.subquery_values[0][row] == 0.0 &&
+          cube.subquery_values[1][row] == 0.0) {
+        continue;
+      }
+      EXPECT_GE(naive.FindRow(cube.coords[row]), 0)
+          << TupleToString(cube.coords[row]);
+    }
   }
 }
 

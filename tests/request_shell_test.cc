@@ -167,6 +167,21 @@ TEST_P(RequestShellTest, MalformedLineGetsErrorWithEchoedId) {
   EXPECT_EQ(role->shell()->flight_recorder().Snapshot().total_recorded, 0u);
 }
 
+TEST_P(RequestShellTest, NonNumericMinMaxIsAnErrorAndTheServerLivesOn) {
+  auto role = Start();
+  const std::string refused = role->shell()->HandleLine(
+      "{\"id\":51,\"op\":\"EXPLAIN\",\"question\":{\"subqueries\":["
+      "{\"name\":\"q1\",\"agg\":\"max(Author.name)\"}],"
+      "\"expr\":\"q1\"},\"attrs\":[\"Author.inst\"]}");
+  EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("\"id\":51"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("\"code\":\"InvalidArgument\""),
+            std::string::npos)
+      << refused;
+  const std::string answered = role->shell()->HandleLine(ExplainLine(52));
+  EXPECT_NE(answered.find("\"ok\":true"), std::string::npos) << answered;
+}
+
 TEST_P(RequestShellTest, DrainThenExplainIsUnavailableAndRecorded) {
   auto role = Start();
   const std::string drained =

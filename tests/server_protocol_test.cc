@@ -146,6 +146,19 @@ TEST(ProtocolTest, BuildQuestionResolvesAgainstDatabase) {
   EXPECT_FALSE(BuildQuestion(db, request).ok());
 }
 
+TEST(ProtocolTest, BuildQuestionRejectsNonNumericMinMax) {
+  Database db = BuildRunningExample();
+  Request request = UnwrapOrDie(ParseRequest(kExplainLine));
+  for (const char* agg : {"max(Author.name)", "min(Publication.venue)"}) {
+    request.subqueries[0].agg = agg;
+    const auto question = BuildQuestion(db, request);
+    ASSERT_FALSE(question.ok()) << agg;
+    EXPECT_EQ(question.status().code(), StatusCode::kInvalidArgument);
+  }
+  request.subqueries[0].agg = "max(Publication.year)";
+  EXPECT_TRUE(BuildQuestion(db, request).ok());
+}
+
 TEST(ProtocolTest, ErrorPayloadCarriesCodeAndMessage) {
   const std::string payload =
       ErrorPayload(Status::ResourceExhausted("queue full"));

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "relational/column_cache.h"
+#include "relational/cube.h"
 #include "relational/database.h"
 #include "relational/parser.h"
 #include "relational/predicate.h"
@@ -112,6 +114,29 @@ inline Database BuildRunningExample(bool all_standard = false) {
 /// Parses a predicate or fails the test.
 inline ConjunctivePredicate Pred(const Database& db, const std::string& text) {
   return UnwrapOrDie(ParsePredicate(db, text), text.c_str());
+}
+
+/// The cube of `agg` over the rows of `universal` passing `filter`
+/// (nullptr = all rows), grouped by `attributes`: encodes the grouping and
+/// aggregated columns, then runs DataCube::Compute on their codes.
+inline Result<DataCube> ComputeCube(const UniversalRelation& universal,
+                                    const std::vector<ColumnRef>& attributes,
+                                    const AggregateSpec& agg,
+                                    const DnfPredicate* filter,
+                                    const CubeOptions& options = {}) {
+  std::vector<ColumnRef> columns = attributes;
+  if (agg.kind != AggregateKind::kCountStar) columns.push_back(agg.column);
+  const ColumnCache cache = ColumnCache::Build(universal, columns);
+  std::vector<int> attr_indices;
+  for (size_t i = 0; i < attributes.size(); ++i) {
+    attr_indices.push_back(static_cast<int>(i));
+  }
+  const RowSet rows = EvaluateFilterBitmap(universal, filter);
+  const int measure = agg.kind == AggregateKind::kCountStar
+                          ? -1
+                          : static_cast<int>(attributes.size());
+  return DataCube::Compute(cache, attr_indices, agg.kind, measure, &rows,
+                           options);
 }
 
 /// Collects the rows of a RowSet as a sorted vector for assertions.
