@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/metrics.h"
 #include "util/result.h"
 #include "util/stopwatch.h"
 
@@ -46,11 +45,6 @@ inline std::string Fmt(double v, int precision = 3) {
   os << std::fixed << std::setprecision(precision) << v;
   return os.str();
 }
-
-/// The percentile estimator now lives in util/metrics (the server's STATS
-/// payload computes p50/p99 with it too); benches keep addressing it as
-/// bench::HistogramPercentile.
-using ::xplain::HistogramPercentile;
 
 /// Wall-clock samples of one measured configuration: `min_ms` is the least
 /// noisy single sample, `median_ms` the robust central tendency reported as

@@ -199,7 +199,7 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
 
 Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
-    const std::vector<Tuple>& cells, int num_threads) const {
+    const std::vector<Tuple>& cells) const {
   XPLAIN_TRACE_SPAN("engine.rescore_cells");
   for (const Tuple& cell : cells) {
     if (cell.size() != attributes.size()) {
@@ -209,24 +209,15 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
           " attributes were given");
     }
   }
-  const int threads = num_threads == 0 ? ThreadPool::DefaultNumThreads()
-                                       : num_threads;
-  std::unique_ptr<ThreadPool> workers;
-  if (threads > 1) workers = std::make_unique<ThreadPool>(threads);
-  std::vector<std::vector<double>> values(cells.size());
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      workers.get(), cells.size(), [&](int, size_t begin, size_t end) {
-        XPLAIN_TRACE_SPAN("engine.rescore_cells_shard");
-        for (size_t i = begin; i < end; ++i) {
-          Explanation e = Explanation::FromCell(attributes, cells[i]);
-          XPLAIN_ASSIGN_OR_RETURN(InterventionResult result,
-                                  intervention_->Compute(e.predicate()));
-          RowSet live = intervention_->LiveUniversalRows(result.delta);
-          values[i] =
-              question.query.EvaluateSubqueries(*universal_, &live);
-        }
-        return Status::OK();
-      }));
+  std::vector<std::vector<double>> values;
+  values.reserve(cells.size());
+  for (const Tuple& cell : cells) {
+    Explanation e = Explanation::FromCell(attributes, cell);
+    XPLAIN_ASSIGN_OR_RETURN(InterventionResult result,
+                            intervention_->Compute(e.predicate()));
+    RowSet live = intervention_->LiveUniversalRows(result.delta);
+    values.push_back(question.query.EvaluateSubqueries(*universal_, &live));
+  }
   return values;
 }
 

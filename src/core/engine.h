@@ -221,11 +221,11 @@ class ExplainEngine {
   /// q_j(D_s - Delta^phi_s) (one inner vector per cell, indexed like the
   /// question's subqueries). The coordinator sums these across shards and
   /// applies sign * E(...) — exact whenever the partition co-locates every
-  /// base row's universal occurrences (DESIGN.md §13). `num_threads`
-  /// follows the ExplainOptions convention (0 = per-core, 1 = sequential).
+  /// base row's universal occurrences (DESIGN.md §13). Runs on the
+  /// calling thread, like every served request (DESIGN.md §8).
   [[nodiscard]] Result<std::vector<std::vector<double>>> RescoreCells(
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
-      const std::vector<Tuple>& cells, int num_threads = 0) const;
+      const std::vector<Tuple>& cells) const;
 
   /// Computes the full incremental effect of `delta` without mutating
   /// anything: closes the delta, derives the U(D) remap and the workspace

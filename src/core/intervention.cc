@@ -110,19 +110,6 @@ size_t InterventionEngine::ApplySemijoinReduction(const DeltaSet& delta,
   return added;
 }
 
-size_t InterventionEngine::ApplySemijoinReductionPairwise(
-    const DeltaSet& delta, DeltaSet* next) const {
-  DeltaSet extended = delta;
-  MarkDanglingRows(db(), &extended);
-  size_t added = 0;
-  for (size_t r = 0; r < extended.size(); ++r) {
-    for (size_t row : extended[r].ToRows()) {
-      if (!delta[r].Test(row) && (*next)[r].Set(row)) ++added;
-    }
-  }
-  return added;
-}
-
 template <typename Predicate>
 Result<InterventionResult> InterventionEngine::ComputeImpl(
     const Predicate& phi, const InterventionOptions& options) const {
@@ -161,9 +148,7 @@ Result<InterventionResult> InterventionEngine::ComputeImpl(
   while (result.iterations < max_iterations) {
     DeltaSet next = result.delta;
     size_t added = ApplyBackwardCascade(result.delta, &next);
-    added += options.pairwise_reduction
-                 ? ApplySemijoinReductionPairwise(result.delta, &next)
-                 : ApplySemijoinReduction(result.delta, &next);
+    added += ApplySemijoinReduction(result.delta, &next);
     if (added > 0) {
       result.delta = std::move(next);
       ++result.iterations;

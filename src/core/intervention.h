@@ -20,13 +20,6 @@ struct InterventionOptions {
   /// (Prop. 3.4) is used.
   size_t max_iterations = 0;
 
-  /// Implement Rule (ii) with pairwise semijoin passes over the FK edges
-  /// (MarkDanglingRows) instead of the default support scan over the
-  /// materialized U(D). Equivalent on acyclic FK graphs (trees); the
-  /// ablation benchmark bench_ablation_fixpoint compares the two. The
-  /// support scan remains the default because it is exact on every schema.
-  bool pairwise_reduction = false;
-
   /// Extension beyond the paper: when the fixpoint of program P leaves
   /// phi-satisfying rows in the residual universal relation (possible on
   /// schemas without a fact-core relation; see DESIGN.md), re-apply Rule (i)
@@ -115,10 +108,6 @@ class InterventionEngine {
   /// One application of Rule (ii) from the snapshot `delta` into `next`;
   /// returns tuples added.
   size_t ApplySemijoinReduction(const DeltaSet& delta, DeltaSet* next) const;
-
-  /// Rule (ii) via pairwise semijoin passes (ablation alternative).
-  size_t ApplySemijoinReductionPairwise(const DeltaSet& delta,
-                                        DeltaSet* next) const;
 
   /// Shared implementation, parameterized over the predicate type (both
   /// ConjunctivePredicate and DnfPredicate provide EvalUniversal and

@@ -175,7 +175,7 @@ class Database {
 /// Extends `dangling` (aligned with db relations) with every row that cannot
 /// participate in the universal relation of the database restricted to rows
 /// outside `dangling`. This is the bitmap form of semijoin reduction used by
-/// both Database::SemijoinReduce and the intervention engine's Rule (ii).
+/// Database::SemijoinReduce and by delta planning.
 /// Returns the number of rows newly marked.
 size_t MarkDanglingRows(const Database& db, DeltaSet* dangling);
 

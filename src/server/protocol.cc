@@ -107,15 +107,6 @@ Status ParseOptions(const JsonValue& object, ExplainOptions* options) {
       options->exact_rescore_pool,
       ParseNonNegative(object, "exact_rescore_pool",
                        options->exact_rescore_pool));
-  const JsonValue* threads = object.Find("num_threads");
-  if (threads != nullptr) {
-    if (!threads->is_number() || threads->number_value() < 0 ||
-        threads->number_value() != std::floor(threads->number_value())) {
-      return Status::InvalidArgument(
-          "options.num_threads must be a non-negative integer");
-    }
-    options->num_threads = static_cast<int>(threads->number_value());
-  }
   return Status::OK();
 }
 
@@ -238,8 +229,9 @@ Result<Request> ParseRequest(const std::string& line) {
     }
     return request;
   }
-  // Serving default: one engine thread per request; cross-request
-  // parallelism comes from the service pool (DESIGN.md §8).
+  // Serving pins one engine thread per request; cross-request parallelism
+  // comes from the service pool (DESIGN.md §8). The wire carries no thread
+  // count: an "options.num_threads" key is ignored like any unknown key.
   request.options.num_threads = 1;
   if (request.op == RequestOp::kDelta) {
     request.delta_relation = root.GetString("relation", "");
@@ -587,8 +579,6 @@ std::string SerializeRequest(const Request& request) {
       out += o.exact_rescore_when_not_additive ? "true" : "false";
       out += ",\"exact_rescore_pool\":";
       out += std::to_string(o.exact_rescore_pool);
-      out += ",\"num_threads\":";
-      out += std::to_string(o.num_threads);
       out.push_back('}');
       if (request.partial) out += ",\"partial\":true";
       if (!request.rescore_cells.empty()) {

@@ -30,7 +30,7 @@ namespace server {
 ///    "attrs": ["Author.name", "Author.inst"],
 ///    "options": {"top_k": 5, "degree": "interv"|"aggr"|"hybrid",
 ///                "minimality": "none"|"selfjoin"|"append",
-///                "min_support": 0, "use_cube": true, "num_threads": 1}}
+///                "min_support": 0, "use_cube": true}}
 ///
 /// TOPK takes the same members as EXPLAIN (lighter response); STATS and
 /// DRAIN take only `id`. Predicate/aggregate/expression texts reuse the
@@ -97,7 +97,7 @@ struct Request {
   std::string expr;
   std::string direction = "high";
   std::vector<std::string> attrs;
-  ExplainOptions options;  // num_threads defaults to 1 when serving
+  ExplainOptions options;  // num_threads is always 1 when serving
   /// DELTA members: the target relation, explicit row positions, and/or a
   /// predicate text selecting rows to delete (parsed by BuildDelta).
   std::string delta_relation;

@@ -157,8 +157,7 @@ std::string XplaindService::ExecutePayload(
       }
       if (!request.rescore_cells.empty()) {
         Result<std::vector<std::vector<double>>> values =
-            engine_->RescoreCells(*question, *attrs, request.rescore_cells,
-                                  request.options.num_threads);
+            engine_->RescoreCells(*question, *attrs, request.rescore_cells);
         if (!values.ok()) {
           *code = values.status().code();
           return ErrorPayload(values.status());

@@ -36,7 +36,7 @@ struct RetryOptions {
 /// Send/ReadResponse split supports pipelining — many requests written
 /// before the first response is read, with responses returned in request
 /// order (the server's per-connection ordering guarantee). Used by
-/// tools/xplain_client, the TCP tests, and bench_server_throughput.
+/// tools/xplain_client, the TCP tests, and xbench's load generator.
 ///
 /// All socket calls retry on EINTR. Connect and read timeouts map to
 /// Status::Unavailable so callers can distinguish "server slow or gone"

@@ -68,9 +68,6 @@ class TcpServer {
   /// The bound port (resolves port 0 to the kernel's choice).
   int port() const { return port_; }
 
-  /// Number of reactor threads actually running.
-  int num_reactors() const { return static_cast<int>(reactors_.size()); }
-
   /// Open connections across all reactors (also published as the
   /// server.connections_active gauge).
   int64_t active_connections() const {

@@ -1,71 +1,69 @@
-// Tests for the shared bench helpers, in particular the log2-histogram
-// percentile extraction used for the p50/p99 keys in BENCH_*.json.
-
-#include <gtest/gtest.h>
+// Tests for the shared bench helpers: the min/median timing harness and
+// the BENCH_<name>.json reporter every paper-figure bench writes.
 
 #include "bench/bench_util.h"
-#include "util/metrics.h"
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include <gtest/gtest.h>
 
 namespace xplain {
 namespace bench {
 namespace {
 
-TEST(HistogramPercentileTest, EmptyHistogramIsZero) {
-  Histogram h;
-  EXPECT_EQ(HistogramPercentile(h, 50.0), 0.0);
-  EXPECT_EQ(HistogramPercentile(h, 99.0), 0.0);
-}
-
-TEST(HistogramPercentileTest, SingleValuePercentilesLandInItsBucket) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.Record(10.0);
-  // 10 lives in the [8,16) bucket; the upper bound clamps to max()=10.
-  for (double p : {1.0, 25.0, 50.0, 99.0}) {
-    const double v = HistogramPercentile(h, p);
-    EXPECT_GE(v, 8.0) << "p" << p;
-    EXPECT_LE(v, 10.0) << "p" << p;
+TEST(MeasureMsTest, RunsWarmupThenMeasuredIterations) {
+  int calls = 0;
+  BenchTiming timing = MeasureMs([&] { ++calls; }, 5, 2);
+  EXPECT_EQ(calls, 7);
+  ASSERT_EQ(timing.samples_ms.size(), 5u);
+  EXPECT_LE(timing.min_ms, timing.median_ms);
+  for (double sample : timing.samples_ms) {
+    EXPECT_GE(sample, timing.min_ms);
   }
 }
 
-TEST(HistogramPercentileTest, PercentilesAreMonotonic) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.Record(static_cast<double>(i));
-  const double p25 = HistogramPercentile(h, 25.0);
-  const double p50 = HistogramPercentile(h, 50.0);
-  const double p99 = HistogramPercentile(h, 99.0);
-  EXPECT_LE(p25, p50);
-  EXPECT_LE(p50, p99);
-  EXPECT_GT(p99, p50);  // a spread distribution has a strictly larger tail
+TEST(MeasureMsTest, ClampsToOneMeasuredIteration) {
+  int calls = 0;
+  BenchTiming timing = MeasureMs([&] { ++calls; }, 0, 0);
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(timing.samples_ms.size(), 1u);
+  EXPECT_EQ(timing.min_ms, timing.median_ms);
 }
 
-TEST(HistogramPercentileTest, UniformDistributionRoughRanges) {
-  Histogram h;
-  for (int i = 1; i <= 1024; ++i) h.Record(static_cast<double>(i));
-  // Log2 buckets bound the error: the p-th percentile of uniform 1..1024
-  // is ~10.24*p, and the estimate must stay within the true value's
-  // bucket, i.e. within a factor of 2.
-  const double p50 = HistogramPercentile(h, 50.0);
-  EXPECT_GE(p50, 256.0);
-  EXPECT_LE(p50, 1024.0);
-  const double p99 = HistogramPercentile(h, 99.0);
-  EXPECT_GE(p99, 512.0);
-  EXPECT_LE(p99, 1024.0);
-  const double p1 = HistogramPercentile(h, 1.0);
-  EXPECT_LE(p1, 16.0);
-}
-
-TEST(HistogramPercentileTest, ClampsOutOfRangePercentiles) {
-  Histogram h;
-  h.Record(4.0);
-  EXPECT_GE(HistogramPercentile(h, -5.0), 0.0);
-  EXPECT_LE(HistogramPercentile(h, 200.0), 4.0);
-}
-
-TEST(HistogramPercentileTest, TopBucketClampsToObservedMax) {
-  Histogram h;
-  // One huge outlier: p100 must report max(), not the bucket's 2^i bound.
-  h.Record(1e12);
-  EXPECT_LE(HistogramPercentile(h, 100.0), 1e12 + 1.0);
+TEST(JsonReporterTest, WritesOneRecordPerCallOnce) {
+  const std::string name = "bench_util_test_reporter";
+  const std::string path = "BENCH_" + name + ".json";
+  {
+    JsonReporter json(name);
+    json.Add("fig/a\"b", 2, 1.5);
+    BenchTiming timing;
+    timing.min_ms = 1.0;
+    timing.median_ms = 2.0;
+    json.AddTiming("fig/timed", 1, timing);
+    json.AddStats("fig/stats", 1, 3.0, {{"cube_build_ms", 0.25}});
+    json.Write();
+    json.Add("fig/late", 1, 9.0);  // after Write: never reaches the file
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  std::remove(path.c_str());
+  EXPECT_NE(json.find("\"bench\": \"" + name + "\""), std::string::npos);
+  EXPECT_NE(json.find("\"workload\": \"fig/a\\\"b\", \"threads\": 2, "
+                      "\"wall_ms\": 1.500}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"wall_ms\": 2.000, \"wall_ms_min\": 1.000, "
+                      "\"wall_ms_median\": 2.000}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"cube_build_ms\": 0.250"), std::string::npos) << json;
+  EXPECT_EQ(json.find("fig/late"), std::string::npos) << json;
 }
 
 }  // namespace

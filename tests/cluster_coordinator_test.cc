@@ -96,7 +96,7 @@ Cluster StartCluster(size_t k, CoordinatorOptions options = {}) {
 TEST(ClusterCoordinatorTest, ByteIdenticalToSingleNodeAcrossK) {
   auto single =
       UnwrapOrDie(server::XplaindService::Create(BuildRunningExample()));
-  for (size_t k : {size_t{2}, size_t{3}}) {
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
     Cluster cluster = StartCluster(k);
     for (uint64_t id : {uint64_t{1}, uint64_t{2}}) {
       for (const char* op : {"EXPLAIN", "TOPK"}) {
@@ -119,7 +119,7 @@ TEST(ClusterCoordinatorTest, ExactRescoreIsByteIdenticalToSingleNode) {
   ASSERT_NE(expected.find("\"ok\":true"), std::string::npos) << expected;
   ASSERT_NE(expected.find("\"exact_rescored\":true"), std::string::npos)
       << expected;
-  for (size_t k : {size_t{2}, size_t{3}}) {
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
     Cluster cluster = StartCluster(k);
     EXPECT_EQ(cluster.coordinator->HandleLine(line), expected) << "K=" << k;
   }

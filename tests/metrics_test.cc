@@ -239,6 +239,57 @@ TEST(HistogramPercentileTest, PercentileIsMonotoneInP) {
   }
 }
 
+TEST(HistogramPercentileTest, UniformDistributionRoughRanges) {
+  Histogram hist;
+  for (int i = 1; i <= 1024; ++i) hist.Record(static_cast<double>(i));
+  // Log2 buckets bound the error: the p-th percentile of uniform 1..1024
+  // is ~10.24*p, and the estimate must stay within the true value's
+  // bucket, i.e. within a factor of 2.
+  const double p50 = HistogramPercentile(hist, 50.0);
+  EXPECT_GE(p50, 256.0);
+  EXPECT_LE(p50, 1024.0);
+  const double p99 = HistogramPercentile(hist, 99.0);
+  EXPECT_GE(p99, 512.0);
+  EXPECT_LE(p99, 1024.0);
+  EXPECT_LE(HistogramPercentile(hist, 1.0), 16.0);
+}
+
+TEST(HistogramPercentileTest, ClampsOutOfRangePercentiles) {
+  Histogram hist;
+  hist.Record(4.0);
+  EXPECT_GE(HistogramPercentile(hist, -5.0), 0.0);
+  EXPECT_LE(HistogramPercentile(hist, 200.0), 4.0);
+}
+
+TEST(HistogramPercentileTest, TopBucketClampsToObservedMax) {
+  Histogram hist;
+  // One huge outlier: p100 must report max(), not the bucket's 2^i bound.
+  hist.Record(1e12);
+  EXPECT_LE(HistogramPercentile(hist, 100.0), 1e12 + 1.0);
+}
+
+TEST(HistogramPercentileTest, SingleValuePercentilesLandInItsBucket) {
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Record(10.0);
+  // 10 lives in the [8,16) bucket; the upper bound clamps to max()=10.
+  for (double p : {1.0, 25.0, 50.0, 99.0}) {
+    const double v = HistogramPercentile(h, p);
+    EXPECT_GE(v, 8.0) << "p" << p;
+    EXPECT_LE(v, 10.0) << "p" << p;
+  }
+}
+
+TEST(HistogramPercentileTest, PercentilesAreMonotonic) {
+  Histogram h;
+  for (int i = 1; i <= 1000; ++i) h.Record(static_cast<double>(i));
+  const double p25 = HistogramPercentile(h, 25.0);
+  const double p50 = HistogramPercentile(h, 50.0);
+  const double p99 = HistogramPercentile(h, 99.0);
+  EXPECT_LE(p25, p50);
+  EXPECT_LE(p50, p99);
+  EXPECT_GT(p99, p50);  // a spread distribution has a strictly larger tail
+}
+
 // --- Prometheus text exposition ---------------------------------------------
 
 TEST(PrometheusTextTest, CounterAndGaugeSamples) {

@@ -145,28 +145,6 @@ TEST_P(PropertyTest, ConvergenceBounds) {
   }
 }
 
-// Rule (ii)'s two implementations (support scan vs pairwise semijoins)
-// agree on every template (all three have tree-shaped FK graphs).
-TEST_P(PropertyTest, PairwiseReductionAgreesWithSupportScan) {
-  Database db = MakeDb(9);
-  UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
-  InterventionEngine engine(&u);
-  for (uint64_t phi_seed = 0; phi_seed < 4; ++phi_seed) {
-    auto phi_or = RandomExplanation(db, GetParam().seed * 91 + phi_seed);
-    if (!phi_or.ok()) continue;
-    ConjunctivePredicate phi = *phi_or;
-    InterventionResult scan = UnwrapOrDie(engine.Compute(phi));
-    InterventionOptions pairwise_options;
-    pairwise_options.pairwise_reduction = true;
-    InterventionResult pairwise =
-        UnwrapOrDie(engine.Compute(phi, pairwise_options));
-    for (size_t r = 0; r < scan.delta.size(); ++r) {
-      EXPECT_TRUE(scan.delta[r] == pairwise.delta[r])
-          << phi.ToString(db) << " relation " << r;
-    }
-  }
-}
-
 // Monotonicity in Delta: re-running P on a database where the fixpoint was
 // already applied yields an empty intervention for phi.
 TEST_P(PropertyTest, FixpointIsIdempotent) {

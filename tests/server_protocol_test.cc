@@ -82,6 +82,23 @@ TEST(ProtocolTest, ParsesFullExplainRequest) {
   EXPECT_EQ(request.options.num_threads, 1);
 }
 
+// A client cannot size the engine's thread pool: a wire thread count is
+// ignored, and the coordinator's re-serialized shard lines carry none.
+// (Parsing only; nothing here starts a thread.)
+TEST(ProtocolTest, WireThreadCountIsIgnoredAndNeverSerialized) {
+  const std::string line =
+      R"x({"id":3,"op":"EXPLAIN","question":{"subqueries":[)x"
+      R"x({"name":"q1","agg":"count(*)","where":"venue = 'SIGMOD'"}],)x"
+      R"x("expr":"q1","direction":"high"},"attrs":["Author.name"],)x"
+      R"x("options":{"top_k":5,"num_threads":100000}})x";
+  Request request = UnwrapOrDie(ParseRequest(line));
+  EXPECT_EQ(request.options.top_k, 5u);
+  EXPECT_EQ(request.options.num_threads, 1);
+  const std::string serialized = SerializeRequest(request);
+  EXPECT_EQ(serialized.find("num_threads"), std::string::npos) << serialized;
+  EXPECT_EQ(UnwrapOrDie(ParseRequest(serialized)).options.num_threads, 1);
+}
+
 TEST(ProtocolTest, OpIsCaseInsensitiveAndStatsNeedsNoQuestion) {
   Request stats = UnwrapOrDie(ParseRequest(R"x({"id":1,"op":"stats"})x"));
   EXPECT_EQ(stats.op, RequestOp::kStats);
