@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the relational substrate and the
 // intervention engine: universal-relation assembly, semijoin reduction,
-// cube computation, predicate scans, and the program-P fixpoint, on the
-// synthetic DBLP workload.
+// predicate scans and the program-P fixpoint on the synthetic DBLP
+// workload; the cube kernel and cube-workspace delta planning on natality.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "core/cube_algorithm.h"
+#include "core/cube_workspace.h"
 #include "core/intervention.h"
 #include "datagen/dblp.h"
 #include "datagen/natality.h"
 #include "relational/cube.h"
 #include "relational/join.h"
+#include "relational/expression.h"
 #include "relational/parser.h"
 #include "relational/universal.h"
 
@@ -87,7 +90,11 @@ void BM_PredicateScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateScan);
 
-void BM_CubeNatality(benchmark::State& state) {
+/// Times the cube kernel over the first state.range(0) natality
+/// attributes. With a `race` the loop also evaluates Birth.race = race
+/// into the row list the kernel takes, as ComputeTableM does per cube;
+/// without one the kernel reads every row.
+void CubeNatality(benchmark::State& state, const char* race) {
   const Database& db = NatalityDb();
   static UniversalRelation* u = [] {
     auto result = UniversalRelation::Build(NatalityDb());
@@ -97,26 +104,46 @@ void BM_CubeNatality(benchmark::State& state) {
   const int num_attrs = static_cast<int>(state.range(0));
   const char* names[] = {"Birth.age", "Birth.tobacco", "Birth.prenatal",
                          "Birth.education", "Birth.marital", "Birth.sex"};
-  std::vector<ColumnRef> attrs;
+  std::vector<ColumnRef> columns;
   for (int i = 0; i < num_attrs; ++i) {
-    attrs.push_back(*db.ResolveColumn(names[i]));
+    columns.push_back(*db.ResolveColumn(names[i]));
   }
-  // The engine encodes a column once and retains it, so the encode stays
-  // outside the timed loop: this measures the cube kernel alone.
-  const ColumnCache cache = ColumnCache::Build(*u, attrs);
-  std::vector<int> attr_indices(attrs.size());
-  for (size_t i = 0; i < attrs.size(); ++i) {
+  std::vector<int> attr_indices(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
     attr_indices[i] = static_cast<int>(i);
   }
+  DnfPredicate where = DnfPredicate::True();
+  if (race != nullptr) {
+    auto parsed =
+        ParseDnfPredicate(db, std::string("Birth.race = '") + race + "'");
+    XPLAIN_CHECK(parsed.ok());
+    where = *parsed;
+    columns.push_back(*db.ResolveColumn("Birth.race"));
+  }
+  // The engine encodes a column once and retains it, so the encode stays
+  // outside the timed loop: this measures the filter and the kernel.
+  const ColumnCache cache = ColumnCache::Build(*u, columns);
+  auto filter = CodedFilter::Compile(cache, where);
+  XPLAIN_CHECK(filter.ok());
   for (auto _ : state) {
+    std::vector<uint32_t> rows;
+    if (race != nullptr) rows = filter->EvalRows(cache, nullptr);
     auto cube = DataCube::Compute(cache, attr_indices,
-                                  AggregateKind::kCountStar, -1, nullptr);
+                                  AggregateKind::kCountStar, -1,
+                                  race != nullptr ? &rows : nullptr);
     benchmark::DoNotOptimize(cube);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(u->NumRows()));
 }
+
+void BM_CubeNatality(benchmark::State& state) { CubeNatality(state, nullptr); }
 BENCHMARK(BM_CubeNatality)->Arg(2)->Arg(4)->Arg(6);
+
+void BM_CubeNatalityFiltered(benchmark::State& state) {
+  CubeNatality(state, "White");
+}
+BENCHMARK(BM_CubeNatalityFiltered)->Arg(2)->Arg(4)->Arg(6);
 
 void BM_InterventionFixpoint(benchmark::State& state) {
   const Database& db = DblpDb();
@@ -169,6 +196,92 @@ void BM_HashIndexBuild(benchmark::State& state) {
                           static_cast<int64_t>(authored.NumRows()));
 }
 BENCHMARK(BM_HashIndexBuild);
+
+/// 400k natality rows, the size xbench's natality workloads serve.
+const Database& LargeNatalityDb() {
+  static Database* db = [] {
+    datagen::NatalityOptions options;
+    options.num_rows = 400000;
+    auto result = datagen::GenerateNatality(options);
+    XPLAIN_CHECK(result.ok());
+    return new Database(std::move(result).ValueOrDie());
+  }();
+  return *db;
+}
+
+/// Times CubeWorkspace::PlanDelta for one 200-row Birth delta against a
+/// workspace retaining the two cubes of `agg` (over race = 'White' and
+/// race = 'Black'), grouped by marital, tobacco and education. Birth.id
+/// equals the row position, so `rows` picks which ids die: `kSpread`
+/// deletes every 2000th row, `kLowest` the 200 lowest ids (no cell's
+/// maximum dies) and `kLowestAndTop` the 199 lowest plus the top id (the
+/// apex maximum dies).
+enum class DeltaRows { kSpread, kLowest, kLowestAndTop };
+
+void BM_PlanDelta(benchmark::State& state, const char* agg, DeltaRows rows) {
+  const Database& db = LargeNatalityDb();
+  auto universal = UniversalRelation::Build(db);
+  XPLAIN_CHECK(universal.ok());
+  std::vector<AggregateQuery> subqueries;
+  for (const char* race : {"White", "Black"}) {
+    AggregateQuery q;
+    q.name = subqueries.empty() ? "q1" : "q2";
+    auto spec = ParseAggregate(db, agg);
+    auto where =
+        ParseDnfPredicate(db, std::string("Birth.race = '") + race + "'");
+    XPLAIN_CHECK(spec.ok() && where.ok());
+    q.agg = *spec;
+    q.where = *where;
+    subqueries.push_back(std::move(q));
+  }
+  auto expr = ParseExpression("q1 - q2", {"q1", "q2"});
+  XPLAIN_CHECK(expr.ok());
+  auto query = NumericalQuery::Create(std::move(subqueries),
+                                      std::move(expr).ValueOrDie());
+  XPLAIN_CHECK(query.ok());
+  UserQuestion question;
+  question.query = std::move(query).ValueOrDie();
+  std::vector<ColumnRef> attrs;
+  for (const char* name : {"Birth.marital", "Birth.tobacco",
+                           "Birth.education"}) {
+    attrs.push_back(*db.ResolveColumn(name));
+  }
+  CubeWorkspace workspace;
+  TableMOptions options;
+  options.workspace = &workspace;
+  XPLAIN_CHECK(ComputeTableM(*universal, question, attrs, options).ok());
+  XPLAIN_CHECK(workspace.GetStats().cube_entries == 2);
+
+  const size_t birth = static_cast<size_t>(*db.RelationIndex("Birth"));
+  const size_t n = db.relation(static_cast<int>(birth)).NumRows();
+  DeltaSet delta = db.EmptyDelta();
+  for (size_t i = 0; i < 200; ++i) {
+    size_t row = i;
+    if (rows == DeltaRows::kSpread) row = i * (n / 200);
+    if (rows == DeltaRows::kLowestAndTop && i == 199) row = n - 1;
+    delta[birth].Set(row);
+  }
+  const UniversalRemap remap = universal->PlanRemap(db.PlanDelta(delta));
+  for (auto _ : state) {
+    auto patch = workspace.PlanDelta(*universal, remap);
+    benchmark::DoNotOptimize(patch);
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanDelta, count_star, "count(*)", DeltaRows::kSpread)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlanDelta, count_distinct, "count(distinct Birth.id)",
+                  DeltaRows::kSpread)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlanDelta, sum, "sum(Birth.id)", DeltaRows::kSpread)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlanDelta, avg, "avg(Birth.id)", DeltaRows::kSpread)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlanDelta, max_extremum_death, "max(Birth.id)",
+                  DeltaRows::kLowestAndTop)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlanDelta, max_no_extremum_death, "max(Birth.id)",
+                  DeltaRows::kLowest)
+    ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally records every finished run into the
 /// repo-wide BENCH_<name>.json format (bench_util.h JsonReporter).

@@ -140,7 +140,8 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
           "shard " + std::to_string(s) + " (" + endpoint.ToString() +
           ") serves a different schema than shard 0");
     }
-    versions[s] = static_cast<uint64_t>(json.GetNumber("db_version", 0.0));
+    XPLAIN_ASSIGN_OR_RETURN(versions[s],
+                            server::WireUintMember(json, "db_version", 0));
     MutexLock lock(&coordinator->pools_[s]->mu);
     coordinator->pools_[s]->idle.push_back(std::move(client));
   }
@@ -215,8 +216,8 @@ Status Coordinator::ReprobeVersion(size_t shard) {
                           CallShard(shard, "{\"id\":0,\"op\":\"STATS\"}"));
   XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
   XPLAIN_RETURN_IF_ERROR(StatusOfResponse(json));
-  const uint64_t version =
-      static_cast<uint64_t>(json.GetNumber("db_version", 0.0));
+  XPLAIN_ASSIGN_OR_RETURN(const uint64_t version,
+                          server::WireUintMember(json, "db_version", 0));
   WriterMutexLock lock(&versions_mu_);
   versions_[shard] = version;
   return Status::OK();
@@ -528,10 +529,10 @@ std::string Coordinator::Delta(const Request& request,
                           std::to_string(targets.size()) +
                           " target shards before the failure)");
       }
-      const uint64_t removed =
-          static_cast<uint64_t>(json.GetNumber("removed", 0.0));
-      const uint64_t version =
-          static_cast<uint64_t>(json.GetNumber("db_version", 0.0));
+      XPLAIN_ASSIGN_OR_RETURN(const uint64_t removed,
+                              server::WireUintMember(json, "removed", 0));
+      XPLAIN_ASSIGN_OR_RETURN(const uint64_t version,
+                              server::WireUintMember(json, "db_version", 0));
       versions_[s] = version;
       total_removed += removed;
       ++applied;

@@ -49,8 +49,8 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
         "shard response carries no partial fragment");
   }
   ShardPartial partial;
-  partial.db_version =
-      static_cast<uint64_t>(json.GetNumber("db_version", 0.0));
+  XPLAIN_ASSIGN_OR_RETURN(partial.db_version,
+                          server::WireUintMember(json, "db_version", 0));
   partial.additive = json.GetBool("additive", false);
   partial.cell_additive = json.GetBool("cell_additive", false);
   const JsonValue* u = json.Find("u");

@@ -99,21 +99,13 @@ Result<CodedFilter> CodedFilter::Compile(const ColumnCache& cache,
   return out;
 }
 
-RowSet CodedFilter::EvalAllRows(const ColumnCache& cache) const {
-  RowSet rows(cache.NumRows());
-  for (size_t u = 0; u < cache.NumRows(); ++u) {
-    if (Eval(cache, u)) rows.Set(u);
-  }
-  return rows;
-}
-
-RowSet EvaluateFilterBitmap(const UniversalRelation& universal,
-                            const DnfPredicate* filter) {
-  RowSet pass(universal.NumRows());
-  for (size_t u = 0; u < universal.NumRows(); ++u) {
-    if (filter == nullptr || filter->EvalUniversal(universal, u)) {
-      pass.Set(u);
-    }
+std::vector<uint32_t> CodedFilter::EvalRows(
+    const ColumnCache& cache, const std::vector<uint32_t>* rows) const {
+  std::vector<uint32_t> pass;
+  const size_t n = rows == nullptr ? cache.NumRows() : rows->size();
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t u = rows == nullptr ? static_cast<uint32_t>(i) : (*rows)[i];
+    if (Eval(cache, u)) pass.push_back(u);
   }
   return pass;
 }

@@ -94,11 +94,6 @@ class ColumnCache {
   std::vector<const std::vector<Value>*> dictionaries_;  // [col][code]
 };
 
-/// Pre-evaluates a filter over all universal rows into a bitmap (rows
-/// passing the predicate). nullptr filter means all rows pass.
-RowSet EvaluateFilterBitmap(const UniversalRelation& universal,
-                            const DnfPredicate* filter);
-
 /// A DNF predicate compiled against a ColumnCache: every atom becomes a
 /// per-dictionary-code match table, so row evaluation is a handful of
 /// array lookups instead of Value comparisons. Requires every atom's
@@ -123,8 +118,10 @@ class CodedFilter {
     return false;
   }
 
-  /// Evaluates over all cached rows into a bitmap.
-  RowSet EvalAllRows(const ColumnCache& cache) const;
+  /// The rows of the ascending list `rows` (nullptr = every cached row)
+  /// that pass, in list order: the row list DataCube::Compute takes.
+  std::vector<uint32_t> EvalRows(const ColumnCache& cache,
+                                 const std::vector<uint32_t>* rows) const;
 
  private:
   struct CodedAtom {

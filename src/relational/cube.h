@@ -18,7 +18,7 @@ struct CubeOptions {
   /// Hard cap on the number of cube attributes (2^d lattice).
   int max_attributes = 16;
   /// Non-owning worker pool for the sharded cube evaluation (DESIGN.md §6):
-  /// the input scan is split into per-thread row ranges aggregated into
+  /// the input row list is split into per-thread ranges aggregated into
   /// thread-local cell maps (merged exactly — cells are additive under any
   /// disjoint partition of the input rows), and the 2^d rollup lattice is
   /// partitioned by mask so shards emit disjoint cell sets. nullptr (the
@@ -31,8 +31,8 @@ struct CubeOptions {
 ///
 /// A cell coordinate assigns each cube attribute either a concrete value or
 /// NULL meaning ALL ("don't care"). The all-NULL cell holds the grand total.
-/// Computation is two-phase over dictionary codes: (1) group the filter-
-/// passing rows into base cells keyed by the packed attribute codes; (2)
+/// Computation is two-phase over dictionary codes: (1) group the listed
+/// rows into base cells keyed by the packed attribute codes; (2)
 /// roll every base cell up into all 2^d ancestor cells of the lattice.
 /// COUNT(DISTINCT) rolls up its code sets, so it is exact (not sum-based).
 /// Both phases shard across CubeOptions::pool when one is supplied (see
@@ -42,17 +42,19 @@ struct CubeOptions {
 /// are safe to call concurrently.
 class DataCube {
  public:
-  /// Computes the cube of `kind` over the rows of `cache` set in
-  /// `filter_rows` (nullptr = all rows), grouped by the cache columns
-  /// `attr_indices`. `measure_index` is the cache column the aggregate
-  /// reads (-1 for COUNT(*)); SUM/AVG/MIN/MAX need a numeric one. Cell
-  /// values follow AggregateAccumulator: NULL inputs are skipped, and a
-  /// cell whose measured values are all NULL is present with value 0. A
-  /// filter-passing row with a NULL grouping attribute is
-  /// kInvalidArgument (it would collide with the ALL marker).
+  /// Computes the cube of `kind` over the rows of `cache` listed in
+  /// `rows` (ascending row ids; nullptr = every row), grouped by the cache
+  /// columns `attr_indices`. `measure_index` is the cache column the
+  /// aggregate reads (-1 for COUNT(*)); SUM/AVG/MIN/MAX need a numeric
+  /// one. Cell values follow AggregateAccumulator: NULL inputs are
+  /// skipped, and a cell whose measured values are all NULL is present
+  /// with value 0. A listed row with a NULL grouping attribute is
+  /// kInvalidArgument (it would collide with the ALL marker). Rows fold
+  /// in list order, so a one-thread cube depends only on the list.
   [[nodiscard]] static Result<DataCube> Compute(
       const ColumnCache& cache, const std::vector<int>& attr_indices,
-      AggregateKind kind, int measure_index, const RowSet* filter_rows,
+      AggregateKind kind, int measure_index,
+      const std::vector<uint32_t>* rows,
       const CubeOptions& options = CubeOptions());
 
   /// Rewraps an existing cell map as a DataCube without recomputation —

@@ -9,7 +9,8 @@
 
 namespace xplain {
 
-/// A set of row positions within one relation, stored as a bitmap.
+/// A set of row positions within one relation, stored as one byte per
+/// row plus a running count.
 ///
 /// Used both for interventions (Delta_i, the rows to delete from R_i) and
 /// for liveness masks during semijoin reduction.

@@ -11,6 +11,7 @@ namespace xplain {
 namespace {
 
 using ::xplain::testing::BuildRunningExample;
+using ::xplain::testing::FilterRows;
 using ::xplain::testing::Pred;
 using ::xplain::testing::UnwrapOrDie;
 
@@ -23,11 +24,12 @@ class ColumnCacheTest : public ::testing::Test {
     name_ = *db_.ResolveColumn("Author.name");
     year_ = *db_.ResolveColumn("Publication.year");
     pubid_ = *db_.ResolveColumn("Publication.pubid");
+    venue_ = *db_.ResolveColumn("Publication.venue");
   }
 
   Database db_;
   std::unique_ptr<UniversalRelation> universal_;
-  ColumnRef name_, year_, pubid_;
+  ColumnRef name_, year_, pubid_, venue_;
 };
 
 TEST_F(ColumnCacheTest, EncodingRoundTrips) {
@@ -46,12 +48,22 @@ TEST_F(ColumnCacheTest, EncodingRoundTrips) {
   EXPECT_EQ(cache.FindColumn(pubid_), -1);
 }
 
-TEST_F(ColumnCacheTest, FilterBitmap) {
+TEST_F(ColumnCacheTest, CodedFilterListsPassingRows) {
   DnfPredicate sigmod = Pred(db_, "Publication.venue = 'SIGMOD'");
-  RowSet rows = EvaluateFilterBitmap(*universal_, &sigmod);
-  EXPECT_EQ(rows.count(), 4u);
-  RowSet all = EvaluateFilterBitmap(*universal_, nullptr);
-  EXPECT_EQ(all.count(), universal_->NumRows());
+  const ColumnCache cache =
+      ColumnCache::Build(*universal_, {name_, year_, venue_});
+  const CodedFilter filter = UnwrapOrDie(CodedFilter::Compile(cache, sigmod));
+  const std::vector<uint32_t> rows = filter.EvalRows(cache, nullptr);
+  EXPECT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows, FilterRows(*universal_, &sigmod));
+  // EvalRows keeps the passing rows of a candidate list, in list order.
+  std::vector<uint32_t> odd, odd_passing;
+  for (uint32_t u = 1; u < universal_->NumRows(); u += 2) odd.push_back(u);
+  for (uint32_t u : rows) {
+    if (u % 2 == 1) odd_passing.push_back(u);
+  }
+  EXPECT_EQ(filter.EvalRows(cache, &odd), odd_passing);
+  EXPECT_EQ(FilterRows(*universal_, nullptr).size(), universal_->NumRows());
 }
 
 // Both directions against the row-at-a-time oracle that core/naive
@@ -93,7 +105,7 @@ void ExpectCellsMatchRowAtATime(const UniversalRelation& u,
 TEST_F(ColumnCacheTest, CodedCountStarMatchesRowAtATime) {
   const DnfPredicate sigmod = Pred(db_, "Publication.venue = 'SIGMOD'");
   const ColumnCache cache = ColumnCache::Build(*universal_, {name_, year_});
-  const RowSet rows = EvaluateFilterBitmap(*universal_, &sigmod);
+  const std::vector<uint32_t> rows = FilterRows(*universal_, &sigmod);
   const DataCube cube = UnwrapOrDie(DataCube::Compute(
       cache, {0, 1}, AggregateKind::kCountStar, -1, &rows));
   ExpectCellsMatchRowAtATime(*universal_, cube, AggregateSpec::CountStar(),
@@ -102,7 +114,7 @@ TEST_F(ColumnCacheTest, CodedCountStarMatchesRowAtATime) {
 
 TEST_F(ColumnCacheTest, CodedCountDistinctMatchesRowAtATime) {
   const ColumnCache cache = ColumnCache::Build(*universal_, {name_, pubid_});
-  const RowSet rows = EvaluateFilterBitmap(*universal_, nullptr);
+  const std::vector<uint32_t> rows = FilterRows(*universal_, nullptr);
   const DataCube cube = UnwrapOrDie(DataCube::Compute(
       cache, {0}, AggregateKind::kCountDistinct, 1, &rows));
   ExpectCellsMatchRowAtATime(*universal_, cube,
@@ -114,7 +126,7 @@ TEST_F(ColumnCacheTest, CodedNumericAggregatesMatchRowAtATime) {
   const DnfPredicate sigmod = Pred(db_, "Publication.venue = 'SIGMOD'");
   const ColumnCache cache =
       ColumnCache::Build(*universal_, {name_, pubid_, year_});
-  const RowSet rows = EvaluateFilterBitmap(*universal_, &sigmod);
+  const std::vector<uint32_t> rows = FilterRows(*universal_, &sigmod);
   for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg,
                              AggregateKind::kMin, AggregateKind::kMax}) {
     SCOPED_TRACE(AggregateKindToString(kind));
@@ -157,14 +169,14 @@ TEST(CodedCubeWideKeyTest, CodeVectorFallbackKeepsTheSemantics) {
 
   // Row 3 carries the NULL f: unfiltered it is rejected, filtered away the
   // cube is legal.
-  const RowSet all_rows = EvaluateFilterBitmap(u, nullptr);
+  const std::vector<uint32_t> all_rows = FilterRows(u, nullptr);
   EXPECT_EQ(DataCube::Compute(cache, attrs, AggregateKind::kCountStar, -1,
                               &all_rows)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   const DnfPredicate not_row_3 = Pred(db, "W.k <> 3");
-  const RowSet rows = EvaluateFilterBitmap(u, &not_row_3);
+  const std::vector<uint32_t> rows = FilterRows(u, &not_row_3);
 
   double sum = 0.0, max = 0.0;
   int64_t non_null = 0;
@@ -210,7 +222,7 @@ TEST(CodedCubeWideKeyTest, CodeVectorFallbackKeepsTheSemantics) {
 
 TEST_F(ColumnCacheTest, CodedCubeRejectsBadArguments) {
   ColumnCache cache = ColumnCache::Build(*universal_, {name_});
-  RowSet rows = EvaluateFilterBitmap(*universal_, nullptr);
+  const std::vector<uint32_t> rows = FilterRows(*universal_, nullptr);
   EXPECT_FALSE(
       DataCube::Compute(cache, {}, AggregateKind::kCountStar, -1, &rows)
           .ok());

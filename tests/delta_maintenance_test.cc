@@ -3,8 +3,9 @@
 // PlanRemap == fresh-Build identity on U(D), per-aggregate cube
 // maintenance through the engine (COUNT(*), COUNT DISTINCT, SUM over
 // int64, MIN extremum death), and the randomized incremental ≡ rebuild
-// equivalence property (answers and Q(D)) over random instances and a
-// natality slice.
+// equivalence property (answers and Q(D)) over random instances — for
+// every maintainable aggregate kind — and natality slices, including the
+// MIN/MAX rule that rebuilds a cube only when an extremum dies.
 
 #include <cstdint>
 #include <functional>
@@ -139,11 +140,14 @@ using DeltaGenerator = std::function<DeltaSet(const Database&, size_t)>;
 /// Runs the same question on a maintained engine (across `steps` deltas)
 /// and on fresh engines built from scratch after each delta, expecting
 /// byte-identical payloads at every step.
+/// When `stats` is set it receives the maintained engine's workspace
+/// counters after the last step.
 void ExpectIncrementalEqualsRebuild(Database db,
                                     const UserQuestion& question,
                                     const std::vector<std::string>& attrs,
                                     size_t steps, const DeltaGenerator& gen,
-                                    const ExplainOptions& options) {
+                                    const ExplainOptions& options,
+                                    CubeWorkspaceStats* stats = nullptr) {
   Database reference = db;  // deep copy, mutated by the rebuild path
   ExplainEngine engine = UnwrapOrDie(ExplainEngine::Create(&db));
 
@@ -186,6 +190,7 @@ void ExpectIncrementalEqualsRebuild(Database db,
               question.query.EvaluateOnUniversal(fresh.universal()))
         << "delta step " << step;
   }
+  if (stats != nullptr) *stats = engine.workspace().GetStats();
 }
 
 /// A question over the running example exercising one aggregate kind.
@@ -326,6 +331,115 @@ TEST(DeltaEquivalenceProperty, RandomDeltaSequencesMatchRebuild) {
         },
         ExplainOptions());
   }
+}
+
+TEST(DeltaEquivalenceProperty, EveryMaintainableKindMatchesRebuild) {
+  // Every kind the workspace retains, aggregating the int64 P.pid, under
+  // deltas that delete one random row from every relation at each step.
+  for (const char* agg :
+       {"count(*)", "count(distinct P.pid)", "sum(P.pid)", "avg(P.pid)",
+        "min(P.pid)", "max(P.pid)"}) {
+    for (const uint64_t seed : {5u, 29u}) {
+      SCOPED_TRACE(std::string(agg) + " seed " + std::to_string(seed));
+      Database db = MakeRandomDb(seed, 24);
+      std::vector<AggregateQuery> subqueries;
+      for (const char* where : {"A.va = 0", "A.va <> 0"}) {
+        AggregateQuery q;
+        q.name = subqueries.empty() ? "q1" : "q2";
+        q.agg = UnwrapOrDie(ParseAggregate(db, agg));
+        q.where = UnwrapOrDie(ParseDnfPredicate(db, where));
+        subqueries.push_back(std::move(q));
+      }
+      ExprPtr expr = UnwrapOrDie(ParseExpression("q1 - q2", {"q1", "q2"}));
+      UserQuestion question;
+      question.query = UnwrapOrDie(
+          NumericalQuery::Create(std::move(subqueries), std::move(expr)));
+      auto rng = std::make_shared<Rng>(seed + 2000);
+      CubeWorkspaceStats stats;
+      ExpectIncrementalEqualsRebuild(
+          db, question, {"A.va", "P.vp"}, 3,
+          [rng](const Database& current, size_t) {
+            DeltaSet delta = current.EmptyDelta();
+            for (int r = 0; r < current.num_relations(); ++r) {
+              const size_t n = current.relation(r).NumRows();
+              if (n == 0) continue;
+              delta[r].Set(static_cast<size_t>(
+                  rng->UniformInt(0, static_cast<int64_t>(n) - 1)));
+            }
+            return delta;
+          },
+          ExplainOptions(), &stats);
+      EXPECT_EQ(stats.cube_entries, 2u);  // maintained, never dropped
+    }
+  }
+}
+
+/// Q = max(Birth.id | White) - min(Birth.id | Black) over a natality
+/// slice, where Birth.id is the row position, grouped by marital and sex.
+UserQuestion NatalityExtremaQuestion(const Database& db) {
+  std::vector<AggregateQuery> subqueries;
+  for (const auto& [agg, where] :
+       {std::pair<const char*, const char*>{"max(Birth.id)",
+                                            "Birth.race = 'White'"},
+        {"min(Birth.id)", "Birth.race = 'Black'"}}) {
+    AggregateQuery q;
+    q.name = subqueries.empty() ? "q1" : "q2";
+    q.agg = UnwrapOrDie(ParseAggregate(db, agg));
+    q.where = UnwrapOrDie(ParseDnfPredicate(db, where));
+    subqueries.push_back(std::move(q));
+  }
+  ExprPtr expr = UnwrapOrDie(ParseExpression("q1 - q2", {"q1", "q2"}));
+  UserQuestion question;
+  question.query = UnwrapOrDie(
+      NumericalQuery::Create(std::move(subqueries), std::move(expr)));
+  return question;
+}
+
+/// Deletes the Birth rows [first, first + count).
+DeltaGenerator BirthRange(size_t first, size_t count) {
+  return [first, count](const Database& db, size_t) {
+    const int birth = *db.RelationIndex("Birth");
+    DeltaSet delta = db.EmptyDelta();
+    for (size_t row = first; row < first + count; ++row) {
+      delta[static_cast<size_t>(birth)].Set(row);
+    }
+    return delta;
+  };
+}
+
+TEST(DeltaEquivalenceProperty, MinMaxRebuildOnlyWhenAnExtremumDies) {
+  datagen::NatalityOptions options;
+  options.num_rows = 4000;
+  options.seed = 2010;
+  const Database db = UnwrapOrDie(datagen::GenerateNatality(options));
+  const UserQuestion question = NatalityExtremaQuestion(db);
+  const std::vector<std::string> attrs = {"marital", "sex"};
+
+  // Mid-range ids are neither a maximum nor a minimum of any cell (each
+  // holds dozens of rows spread over all 4000 ids): the maintained cubes
+  // keep every value and recompute nothing.
+  CubeWorkspaceStats stats;
+  ExpectIncrementalEqualsRebuild(db, question, attrs, 1, BirthRange(1990, 20),
+                                 ExplainOptions(), &stats);
+  EXPECT_EQ(stats.cells_recomputed, 0);
+  EXPECT_EQ(stats.cube_entries, 2u);
+
+  // The last White row holds the largest White id, the max apex: deleting
+  // it rebuilds that cube.
+  ExpectIncrementalEqualsRebuild(
+      db, question, attrs, 1,
+      [](const Database& current, size_t) {
+        const int birth = *current.RelationIndex("Birth");
+        const Relation& rel = current.relation(birth);
+        const int race = rel.schema().FindAttribute("race");
+        size_t last_white = rel.NumRows() - 1;
+        while (rel.at(last_white, race).AsString() != "White") --last_white;
+        DeltaSet delta = current.EmptyDelta();
+        delta[static_cast<size_t>(birth)].Set(last_white);
+        return delta;
+      },
+      ExplainOptions(), &stats);
+  EXPECT_GT(stats.cells_recomputed, 0);
 }
 
 TEST(DeltaEquivalenceProperty, NatalitySliceMatchesRebuild) {

@@ -13,6 +13,7 @@ namespace {
 
 using ::xplain::testing::BuildRunningExample;
 using ::xplain::testing::ComputeCube;
+using ::xplain::testing::FilterRows;
 using ::xplain::testing::Pred;
 using ::xplain::testing::UnwrapOrDie;
 
@@ -51,7 +52,7 @@ TEST(EdgeCaseTest, CubeRejectsNullGroupingAttributes) {
   UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
   ColumnRef v = *db.ResolveColumn("T.v");
   ColumnCache cache = ColumnCache::Build(u, {v});
-  RowSet all_rows = EvaluateFilterBitmap(u, nullptr);
+  const std::vector<uint32_t> all_rows = FilterRows(u, nullptr);
   auto unfiltered = DataCube::Compute(cache, {0}, AggregateKind::kCountStar,
                                       -1, &all_rows);
   EXPECT_EQ(unfiltered.status().code(), StatusCode::kInvalidArgument);
@@ -61,7 +62,7 @@ TEST(EdgeCaseTest, CubeRejectsNullGroupingAttributes) {
   // dictionary still holds the NULL the dropped rows carry.
   for (const char* filter : {"T.v = 'present'", "T.v <> 'zzz'"}) {
     DnfPredicate pred = Pred(db, filter);
-    RowSet rows = EvaluateFilterBitmap(u, &pred);
+    const std::vector<uint32_t> rows = FilterRows(u, &pred);
     DataCube ok = UnwrapOrDie(DataCube::Compute(
         cache, {0}, AggregateKind::kCountStar, -1, &rows));
     EXPECT_EQ(ok.NumCells(), 2u) << filter;

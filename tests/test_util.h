@@ -116,6 +116,20 @@ inline ConjunctivePredicate Pred(const Database& db, const std::string& text) {
   return UnwrapOrDie(ParsePredicate(db, text), text.c_str());
 }
 
+/// The rows of `universal` passing `filter` (nullptr = every row),
+/// ascending, evaluated row at a time: the row list DataCube::Compute
+/// takes, from an oracle independent of CodedFilter.
+inline std::vector<uint32_t> FilterRows(const UniversalRelation& universal,
+                                        const DnfPredicate* filter) {
+  std::vector<uint32_t> rows;
+  for (size_t u = 0; u < universal.NumRows(); ++u) {
+    if (filter == nullptr || filter->EvalUniversal(universal, u)) {
+      rows.push_back(static_cast<uint32_t>(u));
+    }
+  }
+  return rows;
+}
+
 /// The cube of `agg` over the rows of `universal` passing `filter`
 /// (nullptr = all rows), grouped by `attributes`: encodes the grouping and
 /// aggregated columns, then runs DataCube::Compute on their codes.
@@ -131,7 +145,7 @@ inline Result<DataCube> ComputeCube(const UniversalRelation& universal,
   for (size_t i = 0; i < attributes.size(); ++i) {
     attr_indices.push_back(static_cast<int>(i));
   }
-  const RowSet rows = EvaluateFilterBitmap(universal, filter);
+  const std::vector<uint32_t> rows = FilterRows(universal, filter);
   const int measure = agg.kind == AggregateKind::kCountStar
                           ? -1
                           : static_cast<int>(attributes.size());
