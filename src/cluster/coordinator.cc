@@ -23,39 +23,6 @@ using server::MakeResponse;
 using server::Request;
 using server::RequestOp;
 
-/// Inverse of StatusCodeToString for the codes that travel the wire;
-/// unknown names decode as kInternal (an honest "something failed over
-/// there" rather than a crash).
-StatusCode CodeFromName(const std::string& name) {
-  static constexpr StatusCode kCodes[] = {
-      StatusCode::kInvalidArgument,    StatusCode::kNotFound,
-      StatusCode::kAlreadyExists,      StatusCode::kOutOfRange,
-      StatusCode::kUnimplemented,      StatusCode::kInternal,
-      StatusCode::kParseError,         StatusCode::kConstraintViolation,
-      StatusCode::kIoError,            StatusCode::kResourceExhausted,
-      StatusCode::kUnavailable,        StatusCode::kFailedPrecondition,
-  };
-  for (StatusCode code : kCodes) {
-    if (name == StatusCodeToString(code)) return code;
-  }
-  return StatusCode::kInternal;
-}
-
-/// Decodes an ok:false shard response into its Status; returns OK for
-/// ok:true responses.
-Status StatusOfResponse(const JsonValue& json) {
-  const JsonValue* ok = json.Find("ok");
-  if (ok != nullptr && ok->is_bool() && ok->bool_value()) {
-    return Status::OK();
-  }
-  return Status(CodeFromName(json.GetString("code", "Internal")),
-                json.GetString("error", "shard returned ok:false"));
-}
-
-// Single emission sites for metrics bumped from several code paths, so each
-// exposition name has exactly one literal in this translation unit.
-void NoteShardError() { XPLAIN_COUNTER_ADD("cluster.shard_errors", 1); }
-
 /// The shell sizing and cluster.* metric handles of one coordinator. It
 /// samples no traces of its own: shard spans join a request's trace only
 /// through the wire context it forwards.
@@ -200,15 +167,16 @@ Result<std::string> Coordinator::CallShard(size_t shard,
     Status redialed = conn.Reconnect(options_.connect_retry);
     if (redialed.ok()) response = conn.Call(line);
   }
-  if (!response.ok()) {
-    NoteShardError();
-    return Status(response.status().code(),
-                  "shard " + std::to_string(shard) + " (" +
-                      options_.shards[shard].ToString() +
-                      "): " + response.status().message());
-  }
+  if (!response.ok()) return ShardError(shard, response.status());
   ReturnConnection(shard, std::move(conn));
   return response;
+}
+
+Status Coordinator::ShardError(size_t shard, const Status& status) const {
+  XPLAIN_COUNTER_ADD("cluster.shard_errors", 1);
+  return Status(status.code(), "shard " + std::to_string(shard) + " (" +
+                                   options_.shards[shard].ToString() +
+                                   "): " + status.message());
 }
 
 Status Coordinator::ReprobeVersion(size_t shard) {
@@ -235,11 +203,7 @@ Result<std::vector<std::string>> Coordinator::ScatterGather(
       for (size_t j = 0; j < conns.size(); ++j) {
         ReturnConnection(targets[j], std::move(conns[j]));
       }
-      NoteShardError();
-      return Status(leased.status().code(),
-                    "shard " + std::to_string(targets[i]) + " (" +
-                        options_.shards[targets[i]].ToString() +
-                        "): " + leased.status().message());
+      return ShardError(targets[i], leased.status());
     }
     conns.push_back(std::move(*leased));
   }
@@ -249,11 +213,7 @@ Result<std::vector<std::string>> Coordinator::ScatterGather(
   // so they can't go back into the pool. The next attempt re-dials.
   auto fail = [&](size_t index, const Status& status) {
     conns.clear();
-    NoteShardError();
-    return Status(status.code(),
-                  "shard " + std::to_string(targets[index]) + " (" +
-                      options_.shards[targets[index]].ToString() +
-                      "): " + status.message());
+    return ShardError(targets[index], status);
   };
 
   // Scatter: all sends first, so the shards execute concurrently; a fresh
@@ -309,18 +269,9 @@ Result<std::string> Coordinator::FanoutOnce(
   std::vector<ShardPartial> partials;
   partials.reserve(k);
   for (size_t s = 0; s < k; ++s) {
-    XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(responses[s]));
-    Status shard_status = StatusOfResponse(json);
-    if (!shard_status.ok()) {
-      NoteShardError();
-      return Status(shard_status.code(),
-                    "shard " + std::to_string(s) + " (" +
-                        options_.shards[s].ToString() +
-                        "): " + shard_status.message());
-    }
-    XPLAIN_ASSIGN_OR_RETURN(ShardPartial partial,
-                            ParsePartialPayload(responses[s]));
-    partials.push_back(std::move(partial));
+    Result<ShardPartial> partial = ParsePartialPayload(responses[s]);
+    if (!partial.ok()) return ShardError(s, partial.status());
+    partials.push_back(*std::move(partial));
   }
 
   XPLAIN_ASSIGN_OR_RETURN(
@@ -349,39 +300,10 @@ Result<std::string> Coordinator::FanoutOnce(
                             ScatterGather(targets, rescore_lines));
     std::vector<std::vector<std::vector<double>>> shard_values(k);
     for (size_t s = 0; s < k; ++s) {
-      XPLAIN_ASSIGN_OR_RETURN(JsonValue json,
-                              JsonValue::Parse(rescore_responses[s]));
-      Status shard_status = StatusOfResponse(json);
-      if (!shard_status.ok()) {
-        NoteShardError();
-        return Status(shard_status.code(),
-                      "shard " + std::to_string(s) + " (" +
-                          options_.shards[s].ToString() +
-                          "): " + shard_status.message());
-      }
-      const JsonValue* rescored = json.Find("rescored");
-      if (rescored == nullptr || !rescored->is_array()) {
-        return Status::InvalidArgument(
-            "shard " + std::to_string(s) +
-            " rescore response carries no 'rescored' member");
-      }
-      for (const JsonValue& row : rescored->array_items()) {
-        if (!row.is_array()) {
-          return Status::InvalidArgument(
-              "shard " + std::to_string(s) + " rescore row is not an array");
-        }
-        std::vector<double> values;
-        values.reserve(row.array_items().size());
-        for (const JsonValue& item : row.array_items()) {
-          if (!item.is_number()) {
-            return Status::InvalidArgument(
-                "shard " + std::to_string(s) +
-                " rescore row holds a non-number");
-          }
-          values.push_back(item.number_value());
-        }
-        shard_values[s].push_back(std::move(values));
-      }
+      Result<std::vector<std::vector<double>>> values =
+          ParseRescorePayload(rescore_responses[s]);
+      if (!values.ok()) return ShardError(s, values.status());
+      shard_values[s] = *std::move(values);
     }
     XPLAIN_RETURN_IF_ERROR(
         FinishRescore(question, request.options, shard_values, &merged));

@@ -127,6 +127,10 @@ class Coordinator : public server::LineService {
   [[nodiscard]] Result<std::string> CallShard(size_t shard,
                                               const std::string& line);
 
+  /// `status` as a shard failure: prefixed "shard s (host:port): " and
+  /// counted in cluster.shard_errors.
+  Status ShardError(size_t shard, const Status& status) const;
+
   /// Re-reads one shard's database version via STATS and stores it.
   [[nodiscard]] Status ReprobeVersion(size_t shard);
 

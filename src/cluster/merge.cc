@@ -1,13 +1,10 @@
 #include "cluster/merge.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <utility>
 
 #include "core/cube_algorithm.h"
-#include "core/degree.h"
-#include "core/topk.h"
 #include "relational/cube.h"
 #include "server/json.h"
 #include "server/protocol.h"
@@ -19,6 +16,24 @@ namespace cluster {
 namespace {
 
 using server::JsonValue;
+
+/// Inverse of StatusCodeToString for the codes that travel the wire;
+/// unknown names decode as kInternal (an honest "something failed over
+/// there" rather than a crash).
+StatusCode CodeFromName(const std::string& name) {
+  static constexpr StatusCode kCodes[] = {
+      StatusCode::kInvalidArgument,    StatusCode::kNotFound,
+      StatusCode::kAlreadyExists,      StatusCode::kOutOfRange,
+      StatusCode::kUnimplemented,      StatusCode::kInternal,
+      StatusCode::kParseError,         StatusCode::kConstraintViolation,
+      StatusCode::kIoError,            StatusCode::kResourceExhausted,
+      StatusCode::kUnavailable,        StatusCode::kFailedPrecondition,
+  };
+  for (StatusCode code : kCodes) {
+    if (name == StatusCodeToString(code)) return code;
+  }
+  return StatusCode::kInternal;
+}
 
 Result<uint64_t> ParseMaskString(const std::string& text) {
   if (text.empty()) {
@@ -33,17 +48,50 @@ Result<uint64_t> ParseMaskString(const std::string& text) {
   return static_cast<uint64_t>(parsed);
 }
 
-}  // namespace
-
-Result<ShardPartial> ParsePartialPayload(const std::string& line) {
+/// Parses a shard reply line into a JSON object whose status is ok; an
+/// ok:false reply returns the shard's own status. `what` names the reply
+/// in errors.
+Result<JsonValue> ParseOkReply(const std::string& line, const char* what) {
   XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
   if (!json.is_object()) {
-    return Status::InvalidArgument("shard partial is not a JSON object");
+    return Status::InvalidArgument(std::string(what) +
+                                   " is not a JSON object");
   }
-  const JsonValue* ok = json.Find("ok");
-  if (ok == nullptr || !ok->is_bool() || !ok->bool_value()) {
-    return Status::InvalidArgument("shard partial is not an ok response");
+  XPLAIN_RETURN_IF_ERROR(StatusOfResponse(json));
+  return json;
+}
+
+/// The numbers of the JSON array `array` (nullptr = missing); `what`
+/// names it in errors.
+Result<std::vector<double>> ParseNumbers(const JsonValue* array,
+                                         const std::string& what) {
+  if (array == nullptr || !array->is_array()) {
+    return Status::InvalidArgument(what + " is missing or not an array");
   }
+  std::vector<double> numbers;
+  numbers.reserve(array->array_items().size());
+  for (const JsonValue& item : array->array_items()) {
+    if (!item.is_number()) {
+      return Status::InvalidArgument(what + " holds a non-number");
+    }
+    numbers.push_back(item.number_value());
+  }
+  return numbers;
+}
+
+}  // namespace
+
+Status StatusOfResponse(const JsonValue& response) {
+  const JsonValue* ok = response.Find("ok");
+  if (ok != nullptr && ok->is_bool() && ok->bool_value()) {
+    return Status::OK();
+  }
+  return Status(CodeFromName(response.GetString("code", "Internal")),
+                response.GetString("error", "shard returned ok:false"));
+}
+
+Result<ShardPartial> ParsePartialPayload(const std::string& line) {
+  XPLAIN_ASSIGN_OR_RETURN(JsonValue json, ParseOkReply(line, "shard partial"));
   if (!json.GetBool("partial", false)) {
     return Status::InvalidArgument(
         "shard response carries no partial fragment");
@@ -53,16 +101,8 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
                           server::WireUintMember(json, "db_version", 0));
   partial.additive = json.GetBool("additive", false);
   partial.cell_additive = json.GetBool("cell_additive", false);
-  const JsonValue* u = json.Find("u");
-  if (u == nullptr || !u->is_array()) {
-    return Status::InvalidArgument("shard partial is missing 'u'");
-  }
-  for (const JsonValue& item : u->array_items()) {
-    if (!item.is_number()) {
-      return Status::InvalidArgument("shard partial 'u' holds a non-number");
-    }
-    partial.u.push_back(item.number_value());
-  }
+  XPLAIN_ASSIGN_OR_RETURN(partial.u,
+                          ParseNumbers(json.Find("u"), "shard partial 'u'"));
   const JsonValue* cells = json.Find("cells");
   if (cells == nullptr || !cells->is_array()) {
     return Status::InvalidArgument("shard partial is missing 'cells'");
@@ -76,11 +116,10 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
     }
     const JsonValue* c = cell.Find("c");
     const JsonValue* mask = cell.Find("m");
-    const JsonValue* v = cell.Find("v");
     if (c == nullptr || !c->is_array() || mask == nullptr ||
-        !mask->is_string() || v == nullptr || !v->is_array()) {
+        !mask->is_string()) {
       return Status::InvalidArgument(
-          "shard partial cell is missing c/m/v members");
+          "shard partial cell is missing c/m members");
     }
     Tuple coords;
     coords.reserve(c->array_items().size());
@@ -90,15 +129,9 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
     }
     XPLAIN_ASSIGN_OR_RETURN(uint64_t mask_bits,
                             ParseMaskString(mask->string_value()));
-    std::vector<double> values;
-    values.reserve(v->array_items().size());
-    for (const JsonValue& item : v->array_items()) {
-      if (!item.is_number()) {
-        return Status::InvalidArgument(
-            "shard partial cell 'v' holds a non-number");
-      }
-      values.push_back(item.number_value());
-    }
+    XPLAIN_ASSIGN_OR_RETURN(
+        std::vector<double> values,
+        ParseNumbers(cell.Find("v"), "shard partial cell 'v'"));
     if (values.size() != partial.u.size()) {
       return Status::InvalidArgument(
           "shard partial cell has " + std::to_string(values.size()) +
@@ -110,6 +143,25 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
     partial.values.push_back(std::move(values));
   }
   return partial;
+}
+
+Result<std::vector<std::vector<double>>> ParseRescorePayload(
+    const std::string& line) {
+  XPLAIN_ASSIGN_OR_RETURN(JsonValue json,
+                          ParseOkReply(line, "shard rescore response"));
+  const JsonValue* rescored = json.Find("rescored");
+  if (rescored == nullptr || !rescored->is_array()) {
+    return Status::InvalidArgument(
+        "rescore response carries no 'rescored' member");
+  }
+  std::vector<std::vector<double>> rows;
+  rows.reserve(rescored->array_items().size());
+  for (const JsonValue& row : rescored->array_items()) {
+    XPLAIN_ASSIGN_OR_RETURN(std::vector<double> values,
+                            ParseNumbers(&row, "rescore row"));
+    rows.push_back(std::move(values));
+  }
+  return rows;
 }
 
 Result<MergedExplain> MergePartials(
@@ -231,34 +283,11 @@ Result<MergedExplain> MergePartials(
                                         question.direction,
                                         options.min_support, nullptr, &table));
 
-  const bool need_exact = options.degree == DegreeKind::kIntervention &&
-                          !report.cell_additivity.additive;
-  if (!need_exact) {
-    XPLAIN_TRACE_SPAN("cluster.topk");
-    report.explanations =
-        TopKExplanations(table, options.degree, options.top_k,
-                         options.minimality, nullptr);
-    return merged;
-  }
-  if (!options.exact_rescore_when_not_additive) {
-    return Status::InvalidArgument(
-        "question is not cell-exact intervention-additive (" +
-        report.cell_additivity.reason +
-        "); enable exact_rescore_when_not_additive or rank by aggravation");
-  }
-
-  // Mirror of the engine's hybrid path: select the candidate pool on the
-  // cube proxy, then leave the exact degrees to the rescore fan-out.
-  report.exact_rescored = true;
-  merged.need_rescore = true;
-  const size_t pool_size = std::max(options.exact_rescore_pool, options.top_k);
-  XPLAIN_TRACE_SPAN("cluster.rescore_select");
-  merged.pool = TopKExplanations(
-      table, DegreeKind::kIntervention, pool_size,
-      options.minimality == MinimalityStrategy::kNone
-          ? MinimalityStrategy::kNone
-          : MinimalityStrategy::kSelfJoin,
-      nullptr);
+  // The shared ranking tail: ranks now, or leaves the candidate pool to
+  // the rescore fan-out.
+  XPLAIN_ASSIGN_OR_RETURN(merged.pool,
+                          RankOrSelectRescorePool(options, nullptr, &report));
+  merged.need_rescore = report.exact_rescored;
   return merged;
 }
 
@@ -272,6 +301,11 @@ Status FinishRescore(
   }
   std::vector<RankedExplanation>& pool = merged->pool;
   const size_t m = static_cast<size_t>(question.query.num_subqueries());
+  // q_j(D - Delta^phi) decomposes into the per-shard residuals when the
+  // partition co-locates every base row's universal occurrences (DESIGN.md
+  // §13); sum them in shard-map order, then rank as a single node does.
+  std::vector<std::vector<double>> residuals(pool.size(),
+                                             std::vector<double>(m, 0.0));
   for (size_t s = 0; s < shard_values.size(); ++s) {
     if (shard_values[s].size() != pool.size()) {
       return Status::InvalidArgument(
@@ -279,35 +313,17 @@ Status FinishRescore(
           std::to_string(shard_values[s].size()) + " cells; expected " +
           std::to_string(pool.size()));
     }
-    for (const std::vector<double>& values : shard_values[s]) {
-      if (values.size() != m) {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (shard_values[s][i].size() != m) {
         return Status::InvalidArgument(
             "shard " + std::to_string(s) +
             " rescore row has the wrong subquery arity");
       }
+      for (size_t j = 0; j < m; ++j) residuals[i][j] += shard_values[s][i][j];
     }
   }
-  // Exact degree of candidate phi: sign * E over the residual subquery
-  // values summed across shards — q_j(D - Delta^phi) decomposes into the
-  // per-shard residuals when the partition co-locates every base row's
-  // universal occurrences (DESIGN.md §13).
-  const double sign = InterventionSign(question.direction);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    std::vector<double> residual(m, 0.0);
-    for (size_t s = 0; s < shard_values.size(); ++s) {
-      for (size_t j = 0; j < m; ++j) residual[j] += shard_values[s][i][j];
-    }
-    const double degree = sign * question.query.Combine(residual);
-    pool[i].degree = degree;
-    // Keep table M in sync so follow-up minimality sees exact values.
-    merged->report.table.mu_interv[pool[i].m_row] = degree;
-  }
-  std::stable_sort(pool.begin(), pool.end(),
-                   [](const RankedExplanation& a, const RankedExplanation& b) {
-                     return a.degree > b.degree;
-                   });
-  if (pool.size() > options.top_k) pool.resize(options.top_k);
-  merged->report.explanations = std::move(pool);
+  RankByExactResiduals(question, options.top_k, residuals, std::move(pool),
+                       &merged->report);
   merged->need_rescore = false;
   return Status::OK();
 }

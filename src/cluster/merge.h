@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "relational/query.h"
+#include "server/json.h"
 #include "util/result.h"
 
 namespace xplain {
@@ -30,10 +31,22 @@ struct ShardPartial {
   std::vector<std::vector<double>> values;
 };
 
-/// Parses one shard response line carrying a PartialReportPayload. The
-/// line must be an ok:true partial payload; ok:false lines should be
-/// routed to error handling before calling this.
+/// Decodes a shard's ok:false response into the shard's own Status (its
+/// wire code name and error message; an unknown code decodes as
+/// kInternal); OK for an ok:true response.
+[[nodiscard]] Status StatusOfResponse(const server::JsonValue& response);
+
+/// Parses one shard response line carrying a PartialReportPayload, once.
+/// An ok:false line returns the shard's own status (StatusOfResponse);
+/// a malformed line is kInvalidArgument (or the JSON parser's error).
 [[nodiscard]] Result<ShardPartial> ParsePartialPayload(
+    const std::string& line);
+
+/// Parses one shard response line to a rescore request
+/// (server::RescorePayload): the "rescored" rows, rows[i][j] =
+/// q_j(D_s - Delta^phi_i_s). Error statuses as ParsePartialPayload's;
+/// FinishRescore checks the row count and arity.
+[[nodiscard]] Result<std::vector<std::vector<double>>> ParseRescorePayload(
     const std::string& line);
 
 /// The coordinator-side outcome of merging K shard fragments: either a
@@ -53,10 +66,10 @@ struct MergedExplain {
 /// shard's per-subquery cubes from the fragment rows and their cube
 /// masks, full-outer-joins and column-sums them into the global cubes,
 /// joins those across subqueries, and re-runs the shared AssembleTableM +
-/// TopKExplanations tail with the caller's real options (min_support is
-/// applied here, after the global merge). Additivity verdicts are the AND
-/// over shards — exact whenever the partition co-locates every base row's
-/// universal occurrences. When the question needs exact intervention
+/// RankOrSelectRescorePool tail with the caller's real options
+/// (min_support is applied here, after the global merge). Additivity
+/// verdicts are the AND over shards — exact whenever the partition
+/// co-locates every base row's universal occurrences. When the question needs exact intervention
 /// degrees, the result carries the candidate pool for the rescore
 /// fan-out instead of final rankings.
 [[nodiscard]] Result<MergedExplain> MergePartials(
@@ -66,8 +79,7 @@ struct MergedExplain {
 /// Completes an exact rescore from the per-shard residual subquery values
 /// (shard_values[s][i][j] = q_j(D_s - Delta^phi_i_s), shards in shard-map
 /// order, cells in `merged->pool` order): sums residuals across shards,
-/// applies sign * E(...), writes the exact degrees back into table M, and
-/// ranks — mirroring the single-node exact-rescore tail byte for byte.
+/// then ranks through the single node's RankByExactResiduals.
 [[nodiscard]] Status FinishRescore(
     const UserQuestion& question, const ExplainOptions& options,
     const std::vector<std::vector<std::vector<double>>>& shard_values,

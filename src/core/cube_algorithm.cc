@@ -55,6 +55,9 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   if (m == 0) {
     return Status::InvalidArgument("question has no subqueries");
   }
+  if (attributes.empty()) {
+    return Status::InvalidArgument("table M needs a candidate attribute");
+  }
 
   TableM table;
   table.attributes = attributes;

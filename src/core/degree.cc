@@ -2,33 +2,22 @@
 
 namespace xplain {
 
-namespace {
-
-DnfPredicate Combine(const DnfPredicate& where,
-                     const ConjunctivePredicate& phi) {
-  return where.And(phi);
-}
-
-DnfPredicate Combine(const DnfPredicate& where, const DnfPredicate& phi) {
-  // (OR_i w_i) AND (OR_j p_j) = OR_{i,j} (w_i AND p_j).
-  std::vector<ConjunctivePredicate> disjuncts;
-  for (const ConjunctivePredicate& w : where.disjuncts()) {
-    for (const ConjunctivePredicate& p : phi.disjuncts()) {
-      disjuncts.push_back(w.And(p));
-    }
-  }
-  return DnfPredicate(std::move(disjuncts));
-}
-
-/// Shared mu_aggr implementation: restrict every subquery to
-/// sigma_{phi AND where_j} and combine with the direction sign.
-template <typename Phi>
-double AggravationDegreeImpl(const UniversalRelation& universal,
-                             const UserQuestion& question, const Phi& phi) {
+double AggravationDegree(const UniversalRelation& universal,
+                         const UserQuestion& question,
+                         const DnfPredicate& phi) {
+  // Restrict every subquery to sigma_{phi AND where_j}, where
+  // (OR_i w_i) AND (OR_k p_k) = OR_{i,k} (w_i AND p_k), and combine with
+  // the direction sign.
   std::vector<double> values;
   values.reserve(question.query.num_subqueries());
   for (const AggregateQuery& q : question.query.subqueries()) {
-    DnfPredicate combined = Combine(q.where, phi);
+    std::vector<ConjunctivePredicate> disjuncts;
+    for (const ConjunctivePredicate& w : q.where.disjuncts()) {
+      for (const ConjunctivePredicate& p : phi.disjuncts()) {
+        disjuncts.push_back(w.And(p));
+      }
+    }
+    const DnfPredicate combined(std::move(disjuncts));
     Value v = EvaluateAggregate(universal, q.agg, &combined);
     values.push_back(v.is_null() ? 0.0 : v.AsNumeric());
   }
@@ -36,12 +25,11 @@ double AggravationDegreeImpl(const UniversalRelation& universal,
          question.query.Combine(values);
 }
 
-template <typename Phi>
-Result<double> InterventionDegreeExactImpl(const InterventionEngine& engine,
-                                           const UserQuestion& question,
-                                           const Phi& phi,
-                                           InterventionResult* result_out,
-                                           const InterventionOptions& options) {
+Result<double> InterventionDegreeExact(const InterventionEngine& engine,
+                                       const UserQuestion& question,
+                                       const DnfPredicate& phi,
+                                       InterventionResult* result_out,
+                                       const InterventionOptions& options) {
   XPLAIN_ASSIGN_OR_RETURN(InterventionResult result,
                           engine.Compute(phi, options));
   RowSet live = engine.LiveUniversalRows(result.delta);
@@ -49,38 +37,6 @@ Result<double> InterventionDegreeExactImpl(const InterventionEngine& engine,
       question.query.EvaluateOnUniversal(engine.universal(), &live);
   if (result_out != nullptr) *result_out = std::move(result);
   return InterventionSign(question.direction) * q_residual;
-}
-
-}  // namespace
-
-double AggravationDegree(const UniversalRelation& universal,
-                         const UserQuestion& question,
-                         const ConjunctivePredicate& phi) {
-  return AggravationDegreeImpl(universal, question, phi);
-}
-
-double AggravationDegree(const UniversalRelation& universal,
-                         const UserQuestion& question,
-                         const DnfPredicate& phi) {
-  return AggravationDegreeImpl(universal, question, phi);
-}
-
-Result<double> InterventionDegreeExact(const InterventionEngine& engine,
-                                       const UserQuestion& question,
-                                       const ConjunctivePredicate& phi,
-                                       InterventionResult* result_out,
-                                       const InterventionOptions& options) {
-  return InterventionDegreeExactImpl(engine, question, phi, result_out,
-                                     options);
-}
-
-Result<double> InterventionDegreeExact(const InterventionEngine& engine,
-                                       const UserQuestion& question,
-                                       const DnfPredicate& phi,
-                                       InterventionResult* result_out,
-                                       const InterventionOptions& options) {
-  return InterventionDegreeExactImpl(engine, question, phi, result_out,
-                                     options);
 }
 
 }  // namespace xplain

@@ -10,33 +10,23 @@ namespace xplain {
 /// Degree of explanation by aggravation (paper Def. 2.4):
 ///   mu_aggr(phi) = sign * Q(D_phi),   sign = +1 for dir=high, -1 for dir=low
 /// where D_phi restricts the database to the universal rows satisfying phi.
+/// A conjunctive phi converts to a one-disjunct DnfPredicate; disjunctive
+/// explanations are the paper's Section 6(ii).
 double AggravationDegree(const UniversalRelation& universal,
                          const UserQuestion& question,
-                         const ConjunctivePredicate& phi);
+                         const DnfPredicate& phi);
 
 /// Degree of explanation by intervention (paper Def. 2.7), computed
 /// *exactly* by running program P for phi and evaluating Q on the residual
-/// database:
+/// database row at a time -- the reference the served rescore
+/// (ExplainEngine::RescoreCells) is tested against:
 ///   mu_interv(phi) = sign * Q(D - Delta^phi), sign = -1 for dir=high,
 ///                                             sign = +1 for dir=low.
 /// If `result_out` is non-null the full intervention result is stored there.
 [[nodiscard]] Result<double> InterventionDegreeExact(
     const InterventionEngine& engine, const UserQuestion& question,
-    const ConjunctivePredicate& phi,
-    InterventionResult* result_out = nullptr,
-    const InterventionOptions& options = InterventionOptions());
-
-/// Exact intervention degree for a disjunctive explanation (paper
-/// Section 6(ii)).
-[[nodiscard]] Result<double> InterventionDegreeExact(
-    const InterventionEngine& engine, const UserQuestion& question,
     const DnfPredicate& phi, InterventionResult* result_out = nullptr,
     const InterventionOptions& options = InterventionOptions());
-
-/// Aggravation degree for a disjunctive explanation.
-double AggravationDegree(const UniversalRelation& universal,
-                         const UserQuestion& question,
-                         const DnfPredicate& phi);
 
 /// The sign applied to Q(D_phi) for mu_aggr under `dir`.
 inline double AggravationSign(Direction dir) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -17,6 +18,15 @@ namespace {
 /// Milliseconds elapsed since `start_us` on the trace clock.
 double PhaseMs(int64_t start_us) {
   return static_cast<double>(Trace::NowMicros() - start_us) / 1000.0;
+}
+
+/// The per-call worker pool of the parallel execution layer (DESIGN.md
+/// §6), or null when `num_threads` resolves to one thread: the exact
+/// sequential legacy path.
+std::unique_ptr<ThreadPool> MakeWorkers(int num_threads) {
+  if (num_threads == 0) num_threads = ThreadPool::DefaultNumThreads();
+  return num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
+                         : nullptr;
 }
 
 double DeltaOf(const std::map<std::string, double>& deltas,
@@ -52,6 +62,7 @@ std::vector<std::pair<std::string, double>> QueryStats::ToFlat() const {
       {"degree_ms", degree_ms},
       {"topk_ms", topk_ms},
       {"exact_rescore_ms", exact_rescore_ms},
+      {"rescore_cells", static_cast<double>(rescore_cells)},
       {"table_rows", static_cast<double>(table_rows)},
       {"fixpoint_runs", static_cast<double>(fixpoint_runs)},
       {"fixpoint_rounds", static_cast<double>(fixpoint_rounds)},
@@ -85,6 +96,59 @@ std::string ExplainReport::ToString(const Database& db) const {
        << "  degree=" << e.degree << "\n";
   }
   return os.str();
+}
+
+Result<std::vector<RankedExplanation>> RankOrSelectRescorePool(
+    const ExplainOptions& options, ThreadPool* workers,
+    ExplainReport* report) {
+  const bool need_exact = options.degree == DegreeKind::kIntervention &&
+                          !report->cell_additivity.additive;
+  if (!need_exact) {
+    XPLAIN_TRACE_SPAN("engine.topk");
+    report->explanations =
+        TopKExplanations(report->table, options.degree, options.top_k,
+                         options.minimality, workers);
+    return std::vector<RankedExplanation>();
+  }
+  if (!options.exact_rescore_when_not_additive) {
+    return Status::InvalidArgument(
+        "question is not cell-exact intervention-additive (" +
+        report->cell_additivity.reason +
+        "); enable exact_rescore_when_not_additive or rank by aggravation");
+  }
+  // Hybrid path: the cube's mu_interv column is only a proxy here, so it
+  // selects a candidate pool; the caller rescores each candidate exactly
+  // with program P and ranks (and applies minimality) on the exact
+  // degrees.
+  XPLAIN_TRACE_SPAN("engine.rescore_select");
+  report->exact_rescored = true;
+  return TopKExplanations(
+      report->table, DegreeKind::kIntervention,
+      std::max(options.exact_rescore_pool, options.top_k),
+      options.minimality == MinimalityStrategy::kNone
+          ? MinimalityStrategy::kNone
+          : MinimalityStrategy::kSelfJoin,
+      workers);
+}
+
+void RankByExactResiduals(const UserQuestion& question, size_t top_k,
+                          const std::vector<std::vector<double>>& residuals,
+                          std::vector<RankedExplanation> pool,
+                          ExplainReport* report) {
+  XPLAIN_CHECK(residuals.size() == pool.size())
+      << residuals.size() << " residual rows for " << pool.size()
+      << " candidates";
+  const double sign = InterventionSign(question.direction);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    pool[i].degree = sign * question.query.Combine(residuals[i]);
+    report->table.mu_interv[pool[i].m_row] = pool[i].degree;
+  }
+  std::stable_sort(pool.begin(), pool.end(),
+                   [](const RankedExplanation& a, const RankedExplanation& b) {
+                     return a.degree > b.degree;
+                   });
+  if (pool.size() > top_k) pool.resize(top_k);
+  report->explanations = std::move(pool);
 }
 
 Result<ExplainEngine> ExplainEngine::Create(const Database* db) {
@@ -178,11 +242,7 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
       CheckQueryAdditivity(*db_, question.query, unique_core_);
   report.cell_additivity = CheckCellAdditivity(
       *db_, question.query, report.additivity, unique_core_);
-  const int num_threads = options.num_threads == 0
-                              ? ThreadPool::DefaultNumThreads()
-                              : options.num_threads;
-  std::unique_ptr<ThreadPool> workers;
-  if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads);
+  const std::unique_ptr<ThreadPool> workers = MakeWorkers(options.num_threads);
   TableMOptions table_options;
   table_options.cube = options.cube;
   table_options.cube.pool = workers.get();
@@ -199,7 +259,7 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
 
 Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
-    const std::vector<Tuple>& cells) const {
+    const std::vector<Tuple>& cells, ThreadPool* workers) const {
   XPLAIN_TRACE_SPAN("engine.rescore_cells");
   for (const Tuple& cell : cells) {
     if (cell.size() != attributes.size()) {
@@ -209,15 +269,62 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
           " attributes were given");
     }
   }
-  std::vector<std::vector<double>> values;
-  values.reserve(cells.size());
-  for (const Tuple& cell : cells) {
-    Explanation e = Explanation::FromCell(attributes, cell);
-    XPLAIN_ASSIGN_OR_RETURN(InterventionResult result,
-                            intervention_->Compute(e.predicate()));
-    RowSet live = intervention_->LiveUniversalRows(result.delta);
-    values.push_back(question.query.EvaluateSubqueries(*universal_, &live));
+  // The question's coded columns, retained since the table-M build or the
+  // partial round: the candidate attributes, then what each subquery reads.
+  std::vector<ColumnRef> columns = attributes;
+  for (const AggregateQuery& q : question.query.subqueries()) {
+    AppendQueryColumns(q, &columns);
   }
+  const ColumnCache cache = workspace_->Columns(*universal_, columns);
+  // Each subquery's filter-passing rows and measure column, once per call.
+  struct Subquery {
+    std::vector<uint32_t> rows;
+    AggregateKind kind;
+    int measure_index;
+  };
+  std::vector<Subquery> subqueries;
+  for (const AggregateQuery& q : question.query.subqueries()) {
+    XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
+                            CodedFilter::Compile(cache, q.where));
+    subqueries.push_back(
+        {filter.EvalRows(cache, nullptr), q.agg.kind,
+         q.agg.kind == AggregateKind::kCountStar
+             ? -1
+             : cache.FindColumn(q.agg.column)});
+  }
+  // Each cell's program-P run is independent; shards write disjoint slots
+  // of `values`, so the result matches the sequential path bit for bit.
+  std::vector<std::vector<double>> values(cells.size());
+  XPLAIN_RETURN_IF_ERROR(ParallelShards(
+      workers, cells.size(), [&](int, size_t begin, size_t end) -> Status {
+        XPLAIN_TRACE_SPAN("engine.rescore_shard");
+        for (size_t i = begin; i < end; ++i) {
+          const ConjunctivePredicate phi =
+              Explanation::FromCell(attributes, cells[i]).predicate();
+          XPLAIN_ASSIGN_OR_RETURN(CodedFilter phi_filter,
+                                  CodedFilter::Compile(cache, phi));
+          XPLAIN_ASSIGN_OR_RETURN(
+              InterventionResult result,
+              intervention_->ComputeOnRows(phi_filter.EvalRows(cache, nullptr),
+                                           phi.MaxMentionedRelation()));
+          const RowSet live = intervention_->LiveUniversalRows(result.delta);
+          // q_j(D - Delta^phi): the kernel's apex over the live rows that
+          // pass q_j's filter.
+          values[i].reserve(subqueries.size());
+          for (const Subquery& q : subqueries) {
+            std::vector<uint32_t> live_rows;
+            live_rows.reserve(q.rows.size());
+            for (uint32_t u : q.rows) {
+              if (live.Test(u)) live_rows.push_back(u);
+            }
+            XPLAIN_ASSIGN_OR_RETURN(
+                DataCube apex, DataCube::Compute(cache, {}, q.kind,
+                                                 q.measure_index, &live_rows));
+            values[i].push_back(apex.GrandTotal());
+          }
+        }
+        return Status::OK();
+      }));
   return values;
 }
 
@@ -276,15 +383,9 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
   report.stats.additivity_ms = PhaseMs(additivity_start_us);
   report.used_cube = options.use_cube;
 
-  // The parallel execution layer (DESIGN.md §6): one pool per Explain
-  // call, shared by the cube shards, the top-K scans, and the exact
-  // rescoring. num_threads == 1 (or a single-core machine) keeps `workers`
-  // null — the exact sequential legacy path.
-  const int num_threads = options.num_threads == 0
-                              ? ThreadPool::DefaultNumThreads()
-                              : options.num_threads;
-  std::unique_ptr<ThreadPool> workers;
-  if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads);
+  // One pool per Explain call, shared by the cube shards, the top-K scans
+  // and the exact rescoring.
+  const std::unique_ptr<ThreadPool> workers = MakeWorkers(options.num_threads);
 
   if (options.use_cube) {
     TableMOptions table_options;
@@ -305,72 +406,29 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
   // Q(D) from the table's u_j, so it is evaluated once per question.
   report.original_value = question.query.Combine(report.table.original_values);
 
-  const bool need_exact = options.degree == DegreeKind::kIntervention &&
-                          !report.cell_additivity.additive;
-  if (!need_exact) {
-    const int64_t topk_start_us = Trace::NowMicros();
-    XPLAIN_TRACE_SPAN("engine.topk");
-    report.explanations =
-        TopKExplanations(report.table, options.degree, options.top_k,
-                         options.minimality, workers.get());
-    report.stats.topk_ms = PhaseMs(topk_start_us);
-    finalize_stats(report);
-    return report;
+  const int64_t topk_start_us = Trace::NowMicros();
+  XPLAIN_ASSIGN_OR_RETURN(
+      std::vector<RankedExplanation> pool,
+      RankOrSelectRescorePool(options, workers.get(), &report));
+  report.stats.topk_ms = PhaseMs(topk_start_us);
+  if (report.exact_rescored) {
+    const int64_t rescore_start_us = Trace::NowMicros();
+    TraceSpan rescore_span("engine.exact_rescore");
+    rescore_span.set_arg(static_cast<int64_t>(pool.size()));
+    std::vector<Tuple> cells;
+    cells.reserve(pool.size());
+    for (const RankedExplanation& candidate : pool) {
+      cells.push_back(report.table.coords[candidate.m_row]);
+    }
+    XPLAIN_ASSIGN_OR_RETURN(
+        std::vector<std::vector<double>> residuals,
+        RescoreCells(question, attributes, cells, workers.get()));
+    RankByExactResiduals(question, options.top_k, residuals, std::move(pool),
+                         &report);
+    rescore_span.End();
+    report.stats.exact_rescore_ms = PhaseMs(rescore_start_us);
+    report.stats.rescore_cells = cells.size();
   }
-
-  if (!options.exact_rescore_when_not_additive) {
-    return Status::InvalidArgument(
-        "question is not cell-exact intervention-additive (" +
-        report.cell_additivity.reason +
-        "); enable exact_rescore_when_not_additive or rank by aggravation");
-  }
-
-  // Hybrid path: use the cube's mu_interv column as a proxy to select a
-  // candidate pool, rescore each candidate exactly with program P, then
-  // rank (and apply minimality) on the exact degrees.
-  report.exact_rescored = true;
-  size_t pool_size = std::max(options.exact_rescore_pool, options.top_k);
-  const int64_t select_start_us = Trace::NowMicros();
-  TraceSpan select_span("engine.rescore_select");
-  std::vector<RankedExplanation> pool = TopKExplanations(
-      report.table, DegreeKind::kIntervention, pool_size,
-      options.minimality == MinimalityStrategy::kNone
-          ? MinimalityStrategy::kNone
-          : MinimalityStrategy::kSelfJoin,
-      workers.get());
-  select_span.End();
-  report.stats.topk_ms = PhaseMs(select_start_us);
-  const int64_t rescore_start_us = Trace::NowMicros();
-  TraceSpan rescore_span("engine.exact_rescore");
-  rescore_span.set_arg(static_cast<int64_t>(pool.size()));
-  // Each candidate's program-P evaluation is independent; shards write
-  // disjoint slots of `exact`, so the degrees (and the stable sort below)
-  // match the sequential path bit for bit.
-  std::vector<double> exact(pool.size(), 0.0);
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      workers.get(), pool.size(), [&](int, size_t begin, size_t end) {
-        XPLAIN_TRACE_SPAN("engine.rescore_shard");
-        for (size_t i = begin; i < end; ++i) {
-          XPLAIN_ASSIGN_OR_RETURN(
-              exact[i],
-              InterventionDegreeExact(*intervention_, question,
-                                      pool[i].explanation.predicate()));
-        }
-        return Status::OK();
-      }));
-  for (size_t i = 0; i < pool.size(); ++i) {
-    pool[i].degree = exact[i];
-    // Keep table M in sync so follow-up minimality sees exact values.
-    report.table.mu_interv[pool[i].m_row] = exact[i];
-  }
-  std::stable_sort(pool.begin(), pool.end(),
-                   [](const RankedExplanation& a, const RankedExplanation& b) {
-                     return a.degree > b.degree;
-                   });
-  if (pool.size() > options.top_k) pool.resize(options.top_k);
-  report.explanations = std::move(pool);
-  rescore_span.End();
-  report.stats.exact_rescore_ms = PhaseMs(rescore_start_us);
   finalize_stats(report);
   return report;
 }

@@ -33,7 +33,7 @@ struct ExplainOptions {
   /// for every setting (DESIGN.md §6).
   int num_threads = 0;
   /// false selects the naive (No Cube) evaluation -- exponential; only for
-  /// small candidate spaces and the Figure 12 baseline.
+  /// small candidate spaces and the Figure 12 baseline (never served).
   bool use_cube = true;
   /// When ranking by intervention and Q is *not* intervention-additive, the
   /// cube's mu_interv column is only a proxy. If true, the engine rescores
@@ -90,6 +90,9 @@ struct QueryStats {
   double topk_ms = 0.0;
   /// Exact program-P rescoring, when it ran.
   double exact_rescore_ms = 0.0;
+  /// Candidate cells rescored exactly (0 when no rescore ran), so
+  /// exact_rescore_ms / rescore_cells is the mean per candidate.
+  size_t rescore_cells = 0;
   /// Rows of table M after support pruning.
   size_t table_rows = 0;
   /// Program P executions / progressing rounds / deleted tuples during
@@ -166,12 +169,33 @@ struct EngineDeltaPlan {
   size_t rows_removed = 0;
 };
 
+/// The first half of the ranking tail that ExplainEngine and the cluster
+/// coordinator share. Ranks report->table into report->explanations, or,
+/// when ranking by intervention on a question that is not cell-additive,
+/// sets report->exact_rescored and returns the rescore pool instead: the
+/// best max(exact_rescore_pool, top_k) cells by the cube's mu_interv
+/// proxy (kInvalidArgument if exact_rescore_when_not_additive is off).
+/// `workers` (nullable) shards the top-K scans.
+[[nodiscard]] Result<std::vector<RankedExplanation>> RankOrSelectRescorePool(
+    const ExplainOptions& options, ThreadPool* workers, ExplainReport* report);
+
+/// The second half: given residuals[i][j] = q_j(D - Delta^phi) for
+/// pool[i]'s cell, sets each degree to sign * E(residuals[i]), writes it
+/// back into report->table.mu_interv (so follow-up minimality sees exact
+/// values), and keeps the best `top_k` by a stable sort as
+/// report->explanations.
+void RankByExactResiduals(const UserQuestion& question, size_t top_k,
+                          const std::vector<std::vector<double>>& residuals,
+                          std::vector<RankedExplanation> pool,
+                          ExplainReport* report);
+
 /// Facade tying the pieces together: builds U(D) once, checks
 /// intervention-additivity, runs Algorithm 1 (or the naive baseline), and
-/// ranks candidate explanations with the requested minimality strategy.
-/// Each Explain call spins up its own ThreadPool when
-/// ExplainOptions::num_threads warrants one, so no pool state outlives a
-/// call.
+/// ranks candidate explanations with the requested minimality strategy
+/// through the shared ranking tail; a non-additive question's pool is
+/// rescored by RescoreCells. Each Explain call spins up its own ThreadPool
+/// when ExplainOptions::num_threads warrants one, so no pool state
+/// outlives a call.
 ///
 /// Thread-safety: safe after construction — Explain only reads the
 /// engine, the database, and U(D) (the cube workspace synchronizes
@@ -216,16 +240,19 @@ class ExplainEngine {
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
       const ExplainOptions& options = ExplainOptions()) const;
 
-  /// Shard-side half of a scatter-gather exact rescore: for each candidate
-  /// cell, runs program P locally and returns the residual subquery values
-  /// q_j(D_s - Delta^phi_s) (one inner vector per cell, indexed like the
-  /// question's subqueries). The coordinator sums these across shards and
-  /// applies sign * E(...) — exact whenever the partition co-locates every
-  /// base row's universal occurrences (DESIGN.md §13). Runs on the
-  /// calling thread, like every served request (DESIGN.md §8).
+  /// The one routine that turns candidate cells into exact residuals:
+  /// for each cell phi, runs program P and returns q_j(D - Delta^phi),
+  /// one inner vector per cell indexed like the question's subqueries.
+  /// It runs on the question's coded columns from the workspace: phi's
+  /// rows come from the cell's CodedFilter, and each q_j is the cube
+  /// kernel's apex over the live rows passing q_j's filter. The hybrid
+  /// path ranks on these directly; a shard's are summed by the coordinator
+  /// (DESIGN.md §13). `workers` (nullable) shards the cells, with
+  /// bit-identical results; a served shard request passes none and runs
+  /// on the calling thread (DESIGN.md §8).
   [[nodiscard]] Result<std::vector<std::vector<double>>> RescoreCells(
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
-      const std::vector<Tuple>& cells) const;
+      const std::vector<Tuple>& cells, ThreadPool* workers = nullptr) const;
 
   /// Computes the full incremental effect of `delta` without mutating
   /// anything: closes the delta, derives the U(D) remap and the workspace

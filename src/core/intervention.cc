@@ -110,9 +110,9 @@ size_t InterventionEngine::ApplySemijoinReduction(const DeltaSet& delta,
   return added;
 }
 
-template <typename Predicate>
-Result<InterventionResult> InterventionEngine::ComputeImpl(
-    const Predicate& phi, const InterventionOptions& options) const {
+Result<InterventionResult> InterventionEngine::ComputeOnRows(
+    const std::vector<uint32_t>& phi_rows, int repair_relation,
+    const InterventionOptions& options) const {
   XPLAIN_TRACE_SPAN("fixpoint.compute");
   const Database& database = db();
   const int k = database.num_relations();
@@ -121,13 +121,23 @@ Result<InterventionResult> InterventionEngine::ComputeImpl(
   InterventionResult result;
   result.delta = database.EmptyDelta();
 
-  // --- Rule (i): Delta_i = R_i - Pi_{A_i} sigma_{!phi}(U(D)). ---
+  // --- Rule (i): Delta_i = R_i - Pi_{A_i} sigma_{!phi}(U(D)); the
+  // !phi rows are the ones the ascending list skips. ---
   DeltaSet support = database.EmptyDelta();
+  size_t next_phi = 0;
   for (size_t u = 0; u < n; ++u) {
-    if (phi.EvalUniversal(*universal_, u)) continue;
+    if (next_phi < phi_rows.size() && phi_rows[next_phi] == u) {
+      ++next_phi;
+      continue;
+    }
     for (int r = 0; r < k; ++r) {
       support[r].Set(universal_->BaseRow(u, r));
     }
+  }
+  if (next_phi != phi_rows.size()) {
+    return Status::InvalidArgument(
+        "phi rows must be ascending universal row ids below " +
+        std::to_string(n));
   }
   for (int r = 0; r < k; ++r) {
     const size_t rows = database.relation(r).NumRows();
@@ -164,15 +174,11 @@ Result<InterventionResult> InterventionEngine::ComputeImpl(
     }
     // Fixpoint of P reached. Check condition 3 of Definition 2.6.
     RowSet live = LiveUniversalRows(result.delta);
-    bool phi_free = true;
     size_t offending = 0;
-    for (size_t u = 0; u < n; ++u) {
-      if (live.Test(u) && phi.EvalUniversal(*universal_, u)) {
-        phi_free = false;
-        offending = u;
-        break;
-      }
+    while (offending < phi_rows.size() && !live.Test(phi_rows[offending])) {
+      ++offending;
     }
+    const bool phi_free = offending == phi_rows.size();
     result.residual_phi_free = phi_free;
     if (phi_free || !options.repair) break;
 
@@ -182,8 +188,7 @@ Result<InterventionResult> InterventionEngine::ComputeImpl(
     // by deleting, from each live phi-row, its base tuple in the
     // highest-indexed relation mentioned by phi, then continue the
     // fixpoint.
-    int target_rel = phi.MaxMentionedRelation();
-    if (target_rel < 0) {
+    if (repair_relation < 0) {
       // phi is TRUE: the only valid intervention is the whole database.
       for (int r = 0; r < k; ++r) {
         const size_t rows = database.relation(r).NumRows();
@@ -193,11 +198,12 @@ Result<InterventionResult> InterventionEngine::ComputeImpl(
       break;
     }
     size_t repaired = 0;
-    for (size_t u = offending; u < n; ++u) {
-      if (live.Test(u) && phi.EvalUniversal(*universal_, u)) {
-        if (result.delta[target_rel].Set(universal_->BaseRow(u, target_rel))) {
-          ++repaired;
-        }
+    for (size_t i = offending; i < phi_rows.size(); ++i) {
+      const uint32_t u = phi_rows[i];
+      if (live.Test(u) &&
+          result.delta[repair_relation].Set(
+              universal_->BaseRow(u, repair_relation))) {
+        ++repaired;
       }
     }
     XPLAIN_CHECK(repaired > 0) << "repair made no progress";
@@ -215,21 +221,19 @@ Result<InterventionResult> InterventionEngine::ComputeImpl(
 }
 
 Result<InterventionResult> InterventionEngine::Compute(
-    const ConjunctivePredicate& phi, const InterventionOptions& options) const {
-  return ComputeImpl(phi, options);
-}
-
-Result<InterventionResult> InterventionEngine::Compute(
     const DnfPredicate& phi, const InterventionOptions& options) const {
-  return ComputeImpl(phi, options);
+  std::vector<uint32_t> phi_rows;
+  for (size_t u = 0; u < universal_->NumRows(); ++u) {
+    if (phi.EvalUniversal(*universal_, u)) {
+      phi_rows.push_back(static_cast<uint32_t>(u));
+    }
+  }
+  return ComputeOnRows(phi_rows, phi.MaxMentionedRelation(), options);
 }
 
-namespace {
-
-template <typename Predicate>
-ValidityReport VerifyInterventionImpl(const Database& db,
-                                      const Predicate& phi,
-                                      const DeltaSet& delta) {
+ValidityReport VerifyIntervention(const Database& db,
+                                  const DnfPredicate& phi,
+                                  const DeltaSet& delta) {
   ValidityReport report;
 
   // Condition 1: closedness under cascade / backward cascade.
@@ -279,20 +283,6 @@ ValidityReport VerifyInterventionImpl(const Database& db,
     }
   }
   return report;
-}
-
-}  // namespace
-
-ValidityReport VerifyIntervention(const Database& db,
-                                  const ConjunctivePredicate& phi,
-                                  const DeltaSet& delta) {
-  return VerifyInterventionImpl(db, phi, delta);
-}
-
-ValidityReport VerifyIntervention(const Database& db,
-                                  const DnfPredicate& phi,
-                                  const DeltaSet& delta) {
-  return VerifyInterventionImpl(db, phi, delta);
 }
 
 }  // namespace xplain

@@ -84,15 +84,24 @@ class InterventionEngine {
   const UniversalRelation& universal() const { return *universal_; }
   const Database& db() const { return universal_->db(); }
 
-  /// Runs program P for `phi` to its minimal fixpoint.
-  [[nodiscard]] Result<InterventionResult> Compute(
-      const ConjunctivePredicate& phi,
-      const InterventionOptions& options = InterventionOptions()) const;
-
-  /// As above for a disjunctive explanation (paper Section 6(ii)): sigma_phi
-  /// generalizes transparently since program P only evaluates phi row-wise.
+  /// Runs program P for `phi` to its minimal fixpoint: evaluates phi on
+  /// every universal row and calls ComputeOnRows. A conjunctive phi
+  /// converts to a one-disjunct DnfPredicate; disjunctive explanations
+  /// (paper Section 6(ii)) need nothing more, since program P only
+  /// evaluates phi row-wise.
   [[nodiscard]] Result<InterventionResult> Compute(
       const DnfPredicate& phi,
+      const InterventionOptions& options = InterventionOptions()) const;
+
+  /// Runs program P for the explanation phi whose satisfying universal
+  /// rows are `phi_rows` (ascending row ids, e.g. a CodedFilter's
+  /// EvalRows), the same row-list form the cube kernel takes. Rule (i),
+  /// the phi-free check and repair read only this list; repair deletes
+  /// from `repair_relation`, phi's MaxMentionedRelation (-1 when phi is
+  /// TRUE). A list that is not ascending or names a row outside U(D) is
+  /// kInvalidArgument.
+  [[nodiscard]] Result<InterventionResult> ComputeOnRows(
+      const std::vector<uint32_t>& phi_rows, int repair_relation,
       const InterventionOptions& options = InterventionOptions()) const;
 
   /// The universal rows surviving `delta`: row u is live iff every base
@@ -109,13 +118,6 @@ class InterventionEngine {
   /// returns tuples added.
   size_t ApplySemijoinReduction(const DeltaSet& delta, DeltaSet* next) const;
 
-  /// Shared implementation, parameterized over the predicate type (both
-  /// ConjunctivePredicate and DnfPredicate provide EvalUniversal and
-  /// MaxMentionedRelation).
-  template <typename Predicate>
-  [[nodiscard]] Result<InterventionResult> ComputeImpl(
-      const Predicate& phi, const InterventionOptions& options) const;
-
   const UniversalRelation* universal_;
   /// Per back-and-forth FK: child row -> parent row (UINT32_MAX if absent).
   struct BackAndForthMap {
@@ -128,10 +130,6 @@ class InterventionEngine {
 
 /// Checks the three conditions of Definition 2.6 for an arbitrary delta.
 /// Exposed for tests and for the brute-force minimality oracle.
-ValidityReport VerifyIntervention(const Database& db,
-                                  const ConjunctivePredicate& phi,
-                                  const DeltaSet& delta);
-/// DNF overload of the validity check above.
 ValidityReport VerifyIntervention(const Database& db, const DnfPredicate& phi,
                                   const DeltaSet& delta);
 

@@ -282,9 +282,6 @@ Result<DataCube> DataCube::Compute(const ColumnCache& cache,
                                    const CubeOptions& options) {
   XPLAIN_TRACE_SPAN("cube.compute");
   const int d = static_cast<int>(attr_indices.size());
-  if (d == 0) {
-    return Status::InvalidArgument("cube needs at least one attribute");
-  }
   if (d > options.max_attributes) {
     return Status::InvalidArgument(
         "cube over " + std::to_string(d) + " attributes exceeds the cap of " +

@@ -44,7 +44,9 @@ class DataCube {
  public:
   /// Computes the cube of `kind` over the rows of `cache` listed in
   /// `rows` (ascending row ids; nullptr = every row), grouped by the cache
-  /// columns `attr_indices`. `measure_index` is the cache column the
+  /// columns `attr_indices`. With no grouping columns the one cell is the
+  /// apex, keyed by the empty tuple: the aggregate over the listed rows
+  /// (GrandTotal reads it). `measure_index` is the cache column the
   /// aggregate reads (-1 for COUNT(*)); SUM/AVG/MIN/MAX need a numeric
   /// one. Cell values follow AggregateAccumulator: NULL inputs are
   /// skipped, and a cell whose measured values are all NULL is present

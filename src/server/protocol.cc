@@ -88,7 +88,13 @@ Status ParseOptions(const JsonValue& object, ExplainOptions* options) {
     }
     options->min_support = support->number_value();
   }
-  options->use_cube = object.GetBool("use_cube", options->use_cube);
+  // The No-Cube evaluator scans U(D) once per candidate cell, exponential
+  // in the attributes: a CLI, bench and test oracle that is never served.
+  if (!object.GetBool("use_cube", true)) {
+    return Status::InvalidArgument(
+        "options.use_cube:false (the No-Cube baseline) is not served; use "
+        "the CLI's --naive");
+  }
   options->exact_rescore_when_not_additive = object.GetBool(
       "exact_rescore", options->exact_rescore_when_not_additive);
   XPLAIN_ASSIGN_OR_RETURN(
@@ -563,8 +569,6 @@ std::string SerializeRequest(const Request& request) {
                         : "append");
       out += "\",\"min_support\":";
       AppendJsonNumber(o.min_support, &out);
-      out += ",\"use_cube\":";
-      out += o.use_cube ? "true" : "false";
       out += ",\"exact_rescore\":";
       out += o.exact_rescore_when_not_additive ? "true" : "false";
       out += ",\"exact_rescore_pool\":";

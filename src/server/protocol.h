@@ -30,7 +30,11 @@ namespace server {
 ///    "attrs": ["Author.name", "Author.inst"],
 ///    "options": {"top_k": 5, "degree": "interv"|"aggr"|"hybrid",
 ///                "minimality": "none"|"selfjoin"|"append",
-///                "min_support": 0, "use_cube": true}}
+///                "min_support": 0, "exact_rescore": true,
+///                "exact_rescore_pool": 50}}
+///
+/// The No-Cube baseline is not served: "use_cube": false is
+/// INVALID_ARGUMENT (the CLI's --naive and the benches still run it).
 ///
 /// TOPK takes the same members as EXPLAIN (lighter response); STATS and
 /// DRAIN take only `id`. Predicate/aggregate/expression texts reuse the

@@ -264,6 +264,46 @@ TEST(MergeTest, ParsePartialPayloadRejectsNonPartialLines) {
       ParsePartialPayload("{\"id\":1,\"ok\":false,\"error\":\"x\"}").ok());
 }
 
+// A shard's ok:false reply surfaces as the shard's own status, so the
+// coordinator's retry logic sees the shard's code.
+TEST(MergeTest, ParsersReturnTheShardsOwnStatus) {
+  const std::string refused =
+      "{\"id\":1,\"ok\":false,\"code\":\"FailedPrecondition\","
+      "\"error\":\"db_version moved\"}";
+  for (const Status& status : {ParsePartialPayload(refused).status(),
+                               ParseRescorePayload(refused).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(status.message(), "db_version moved");
+  }
+}
+
+TEST(MergeTest, ParseRescorePayloadRoundTripsAndRejectsMalformedReplies) {
+  const std::vector<std::vector<double>> values = {{1.0, 2.5}, {0.0, -3.0}};
+  EXPECT_EQ(UnwrapOrDie(ParseRescorePayload(server::MakeResponse(
+                4, server::RescorePayload(values, 7)))),
+            values);
+  const char* const malformed[] = {
+      "not json",
+      "[1]",
+      R"x({"id":1,"ok":true,"op":"EXPLAIN","db_version":7})x",
+      R"x({"id":1,"ok":true,"rescored":{"a":1}})x",
+      R"x({"id":1,"ok":true,"rescored":[[1,2],3]})x",
+      R"x({"id":1,"ok":true,"rescored":[[1,"2"]]})x",
+      R"x({"id":1,"ok":true,"rescored":[[1,null]]})x",
+  };
+  for (const char* line : malformed) {
+    const Result<std::vector<std::vector<double>>> parsed =
+        ParseRescorePayload(line);
+    EXPECT_FALSE(parsed.ok()) << line;
+  }
+  EXPECT_EQ(ParseRescorePayload(malformed[2]).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseRescorePayload(malformed[4]).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseRescorePayload(malformed[5]).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(MergeTest, MergeRejectsMismatchedArity) {
   Database db = BuildRunningExample();
   server::SubquerySpec spec;

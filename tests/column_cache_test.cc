@@ -220,12 +220,23 @@ TEST(CodedCubeWideKeyTest, CodeVectorFallbackKeepsTheSemantics) {
   EXPECT_EQ(mins.GrandTotal(), 1.0);
 }
 
+TEST_F(ColumnCacheTest, CodedCubeWithoutAttributesIsTheApex) {
+  ColumnCache cache = ColumnCache::Build(*universal_, {name_});
+  const std::vector<uint32_t> rows = FilterRows(*universal_, nullptr);
+  const DataCube apex = UnwrapOrDie(
+      DataCube::Compute(cache, {}, AggregateKind::kCountStar, -1, &rows));
+  EXPECT_EQ(apex.NumCells(), 1u);
+  EXPECT_EQ(apex.GrandTotal(), static_cast<double>(rows.size()));
+  const std::vector<uint32_t> none;
+  EXPECT_EQ(UnwrapOrDie(DataCube::Compute(cache, {}, AggregateKind::kCountStar,
+                                          -1, &none))
+                .NumCells(),
+            0u);
+}
+
 TEST_F(ColumnCacheTest, CodedCubeRejectsBadArguments) {
   ColumnCache cache = ColumnCache::Build(*universal_, {name_});
   const std::vector<uint32_t> rows = FilterRows(*universal_, nullptr);
-  EXPECT_FALSE(
-      DataCube::Compute(cache, {}, AggregateKind::kCountStar, -1, &rows)
-          .ok());
   EXPECT_FALSE(
       DataCube::Compute(cache, {5}, AggregateKind::kCountStar, -1, &rows)
           .ok());

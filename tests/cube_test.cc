@@ -138,8 +138,11 @@ TEST_F(CubeTest, AttributeCapEnforced) {
   EXPECT_FALSE(ComputeCube(*universal_, {name_, year_},
                            AggregateSpec::CountStar(), nullptr, options)
                    .ok());
-  EXPECT_FALSE(
-      ComputeCube(*universal_, {}, AggregateSpec::CountStar(), nullptr).ok());
+  // No attributes is not a cap violation: the one cell is the apex.
+  EXPECT_EQ(UnwrapOrDie(ComputeCube(*universal_, {},
+                                    AggregateSpec::CountStar(), nullptr))
+                .NumCells(),
+            1u);
 }
 
 TEST_F(CubeTest, FullOuterJoinFillsZeros) {

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "datagen/dblp.h"
 #include "datagen/natality.h"
 #include "gtest/gtest.h"
 #include "relational/parser.h"
@@ -286,10 +287,42 @@ TEST(EngineTest, QueryStatsAttributeTheExplain) {
                         s.exact_rescore_ms;
   EXPECT_LE(s.total_ms - phases, 0.05 * s.total_ms) << s.ToString();
   bool flat_has_encode = false;
+  bool flat_has_rescore_cells = false;
   for (const auto& [key, value] : s.ToFlat()) {
     flat_has_encode = flat_has_encode || key == "encode_ms";
+    flat_has_rescore_cells = flat_has_rescore_cells || key == "rescore_cells";
   }
   EXPECT_TRUE(flat_has_encode);
+  EXPECT_TRUE(flat_has_rescore_cells);
+  EXPECT_EQ(s.rescore_cells, 0u);  // Q_Race is additive: no rescore
+
+  // A non-additive question (count(*) across the back-and-forth key)
+  // rescores its whole pool, and the rescore is attributed too.
+  datagen::DblpOptions dblp;
+  dblp.scale = 0.5;
+  Database dblp_db = UnwrapOrDie(datagen::GenerateDblp(dblp));
+  ExplainEngine dblp_engine = UnwrapOrDie(ExplainEngine::Create(&dblp_db));
+  AggregateQuery q1, q2;
+  q1.name = "q1";
+  q1.agg = AggregateSpec::CountStar();
+  q1.where = Pred(dblp_db, "Publication.venue = 'SIGMOD'");
+  q2.name = "q2";
+  q2.agg = AggregateSpec::CountStar();
+  q2.where = Pred(dblp_db, "Publication.venue = 'PODS'");
+  ExprPtr expr =
+      UnwrapOrDie(ParseExpression("q1 / (q2 + 1)", {"q1", "q2"}));
+  const UserQuestion venues{
+      UnwrapOrDie(NumericalQuery::Create({q1, q2}, expr)), Direction::kHigh};
+  const ExplainReport rescored =
+      UnwrapOrDie(dblp_engine.Explain(venues, {"Author.name"}, options));
+  ASSERT_TRUE(rescored.exact_rescored);
+  const QueryStats& r = rescored.stats;
+  EXPECT_EQ(r.rescore_cells, options.exact_rescore_pool);
+  EXPECT_GT(r.exact_rescore_ms, 0.0);
+  const double rescored_phases = r.additivity_ms + r.originals_ms +
+                                 r.cube_build_ms + r.merge_ms + r.degree_ms +
+                                 r.topk_ms + r.exact_rescore_ms;
+  EXPECT_LE(r.total_ms - rescored_phases, 0.05 * r.total_ms) << r.ToString();
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ constexpr char kExplainLine[] =
     R"x({"name":"q2","agg":"count(distinct Publication.pubid)","where":"venue = 'PODS'"}],)x"
     R"x("expr":"q1 / q2","direction":"low"},)x"
     R"x("attrs":["Author.name","Author.inst"],)x"
-    R"x("options":{"top_k":5,"degree":"aggr","use_cube":false}})x";
+    R"x("options":{"top_k":5,"degree":"aggr","use_cube":true}})x";
 
 TEST(JsonTest, ParsesScalarsStringsAndNesting) {
   JsonValue v = UnwrapOrDie(JsonValue::Parse(
@@ -78,7 +78,7 @@ TEST(ProtocolTest, ParsesFullExplainRequest) {
   EXPECT_EQ(request.attrs[0], "Author.name");
   EXPECT_EQ(request.options.top_k, 5u);
   EXPECT_EQ(request.options.degree, DegreeKind::kAggravation);
-  EXPECT_FALSE(request.options.use_cube);
+  EXPECT_TRUE(request.options.use_cube);
   // The serving default: one engine thread per request.
   EXPECT_EQ(request.options.num_threads, 1);
 }
@@ -98,6 +98,22 @@ TEST(ProtocolTest, WireThreadCountIsIgnoredAndNeverSerialized) {
   const std::string serialized = SerializeRequest(request);
   EXPECT_EQ(serialized.find("num_threads"), std::string::npos) << serialized;
   EXPECT_EQ(UnwrapOrDie(ParseRequest(serialized)).options.num_threads, 1);
+}
+
+// The No-Cube evaluator scans U(D) once per candidate cell, so the wire
+// cannot select it: use_cube:false is INVALID_ARGUMENT before any work
+// starts, and serialized lines never carry the member. (Parsing only.)
+TEST(ProtocolTest, WireCannotSelectTheNoCubeEvaluator) {
+  std::string line = kExplainLine;
+  const std::string on = "\"use_cube\":true";
+  line.replace(line.find(on), on.size(), "\"use_cube\":false");
+  const Result<Request> rejected = ParseRequest(line);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("use_cube"), std::string::npos);
+  const std::string serialized =
+      SerializeRequest(UnwrapOrDie(ParseRequest(kExplainLine)));
+  EXPECT_EQ(serialized.find("use_cube"), std::string::npos) << serialized;
 }
 
 TEST(ProtocolTest, OpIsCaseInsensitiveAndStatsNeedsNoQuestion) {
@@ -259,7 +275,7 @@ TEST(ProtocolTest, CanonicalKeyIsInjectiveAcrossFieldBoundaries) {
   b.options.top_k = 6;
   EXPECT_NE(CanonicalRequestKey(a), CanonicalRequestKey(b));
   b = a;
-  b.options.use_cube = true;
+  b.options.use_cube = false;
   EXPECT_NE(CanonicalRequestKey(a), CanonicalRequestKey(b));
   // num_threads does not affect results (DESIGN.md §6) so it is excluded.
   b = a;
